@@ -6,8 +6,8 @@ scale) must
 
 * complete with peak RSS under a configured budget — matrices stream
   from disk shard by shard instead of residing in every worker;
-* produce records bit-identical to the in-RAM pickle transport on the
-  tiny tier (the transport must never change results);
+* produce records bit-identical to a serial in-RAM sweep on the tiny
+  tier (attaching stored matrices must never change results);
 * survive SIGKILL mid-sweep: ``--resume`` completes the journal with
   the pre-kill prefix intact and **zero** snapshot regeneration (the
   corpus is reattached by content address, not rebuilt).
@@ -52,8 +52,7 @@ XL_DIR = STORAGE_DIR / f"xl_{SEED}_{SCALE:g}"
 #: common CLI tail for every gated sweep (Gray only: the point is the
 #: storage layer, not reordering cost on 10^6-row graphs)
 SWEEP_ARGS = ["--archs", "Rome", "--orderings", "Gray", "--kernels", "1d",
-              "--jobs", str(JOBS), "--transport", "memmap",
-              "--shard-bytes", str(SHARD_BYTES)]
+              "--jobs", str(JOBS), "--shard-bytes", str(SHARD_BYTES)]
 
 
 def _env():
@@ -154,7 +153,8 @@ def test_rss_budget(gated_sweep, xl_snapshot, emit_json):
 
 
 def test_transport_bit_identity(tmp_path):
-    """memmap-over-snapshot records == pickle-over-RAM records (tiny)."""
+    """jobs=2 memmap-over-snapshot records == serial in-RAM records
+    (tiny)."""
     from repro.generators import build_corpus
     from repro.harness.engine import SweepEngine
     from repro.machine import get_architecture
@@ -164,20 +164,19 @@ def test_transport_bit_identity(tmp_path):
     inram = build_corpus("tiny", seed=SEED, groups=("Banded",))[:4]
     archs = [get_architecture("Rome")]
 
-    def run(corpus, transport):
+    def run(corpus, jobs):
         engine = SweepEngine(corpus, archs, ["RCM", "Gray"],
-                             kernels=("1d",), seed=SEED, jobs=2,
-                             transport=transport)
+                             kernels=("1d",), seed=SEED, jobs=jobs)
         result = engine.run()
         assert not result.failed
         return sorted((r.matrix, r.ordering, r.kernel, r.architecture,
                        r.gflops_max, r.gflops_mean, r.seconds)
                       for r in result.records)
 
-    mm = run(list(snap.entries), "memmap")
-    ref = run(inram, "pickle")
+    mm = run(list(snap.entries), 2)
+    ref = run(inram, 1)
     assert mm == ref, \
-        "memmap transport changed sweep records vs in-RAM pickle"
+        "pool sweep over the snapshot changed records vs serial in-RAM"
 
 
 def test_sigkill_resume_zero_regeneration(gated_sweep, xl_snapshot):

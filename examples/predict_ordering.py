@@ -6,19 +6,16 @@ the most effective reordering algorithm".  This example does exactly
 that with the library's two predictors:
 
 1. the rule model distilled from the paper's findings (zero training),
-2. a nearest-centroid model *trained on an actual sweep* of the
-   corpus, evaluated on held-out matrices.
+2. the advisor's supervised selector (``repro.advisor``) *trained on
+   an actual sweep* of the corpus, evaluated on held-out matrices.
 
 Run:  python examples/predict_ordering.py
 """
 
 import numpy as np
 
-from repro.analysis import (
-    NearestCentroidPredictor,
-    extract_features,
-    recommend_ordering,
-)
+from repro.advisor import Advisor, train_model
+from repro.analysis import recommend_ordering
 from repro.generators import build_corpus
 from repro.harness import OrderingCache, run_sweep
 from repro.harness.experiments import REORDERINGS
@@ -35,12 +32,10 @@ def main() -> None:
     test = [corpus[i] for i in idx[2 * len(corpus) // 3:]]
 
     print(f"sweeping {len(train)} training matrices on {arch.name} ...")
-    sweep = run_sweep(train, [arch], list(REORDERINGS),
-                      cache=OrderingCache())
-    feats, labels = NearestCentroidPredictor.labels_from_sweep(
-        sweep, train, "1d", arch.name)
-    model = NearestCentroidPredictor().fit(feats, labels)
-    print(f"training labels: { {l: labels.count(l) for l in set(labels)} }")
+    model = train_model(corpus=train, architectures=[arch],
+                        kernels=("1d",), cache=OrderingCache())
+    advisor = Advisor(model)
+    print(f"trained on {model.trained_on['rows']} labeled rows")
 
     # evaluate on held-out matrices: does the predicted ordering come
     # close to the best achievable speedup?
@@ -55,7 +50,8 @@ def main() -> None:
             perf[o] = test_sweep.lookup(entry.name, o, "1d",
                                         arch.name).gflops_max
         truth = max(perf, key=perf.get)
-        learned = model.predict(extract_features(entry.matrix))
+        learned = advisor.advise(entry.matrix, arch, "1d",
+                                 matrix_name=entry.name)[0].ordering
         rule = recommend_ordering(entry.matrix, nthreads=arch.threads)
         regret = perf[truth] / perf[learned]
         regrets.append(regret)

@@ -9,11 +9,7 @@
 from .stats import boxplot_summary, geomean, speedup_quartiles
 from .perfprofile import performance_profile, profile_at
 from .classes import classify_matrix, CLASS_DESCRIPTIONS
-from .predict import (
-    NearestCentroidPredictor,
-    extract_features,
-    recommend_ordering,
-)
+from .predict import extract_features, recommend_ordering
 
 __all__ = [
     "geomean",
@@ -23,7 +19,6 @@ __all__ = [
     "profile_at",
     "classify_matrix",
     "CLASS_DESCRIPTIONS",
-    "NearestCentroidPredictor",
     "extract_features",
     "recommend_ordering",
 ]

@@ -1,21 +1,13 @@
 """Feature-based reordering recommendation (paper §6 future work).
 
 The paper closes by proposing "machine learning to predict the most
-effective reordering algorithm".  This module implements that idea at
-the level the study's own findings support: a transparent rule/score
-model over the §3.2 features plus cheap structural statistics, and a
-data-driven nearest-centroid predictor that can be *trained* on sweep
-results from :mod:`repro.harness`.
-
-Two predictors:
-
-* :func:`recommend_ordering` — a hand-written rule model distilled from
-  the paper's findings (findings 1–5): hub-dominated matrices want
-  GP/2D, banded matrices are already fine, scattered local structure
-  wants RCM/GP, etc.  Needs no training.
-* :class:`NearestCentroidPredictor` — learns per-ordering feature
-  centroids of "this ordering won" examples from a sweep, and predicts
-  by nearest centroid in normalised feature space.
+effective reordering algorithm".  This module holds the untrained half
+of that idea: :func:`recommend_ordering`, a hand-written rule model
+over the §3.2 features plus cheap structural statistics, distilled from
+the paper's findings (findings 1–5): hub-dominated matrices want
+GP/2D, banded matrices are already fine, scattered local structure
+wants RCM/GP, etc.  The learned selector, trained on sweep results, is
+:mod:`repro.advisor`.
 """
 
 from __future__ import annotations
@@ -31,7 +23,7 @@ from ..matrix.csr import CSRMatrix
 
 @dataclass(frozen=True)
 class PredictorFeatures:
-    """Normalised, size-independent features used by both predictors."""
+    """Normalised, size-independent features of the rule model."""
 
     rel_bandwidth: float      # bandwidth / n
     rel_offdiag: float        # off-diagonal nnz fraction
@@ -87,68 +79,3 @@ def recommend_ordering(a: CSRMatrix, nthreads: int = 64,
     if f.rel_offdiag > 0.6:
         return "GP"
     return "RCM"
-
-
-class NearestCentroidPredictor:
-    """Learns which ordering wins for which feature region.
-
-    Train on (features, best_ordering) pairs — e.g. harvested from a
-    :class:`repro.harness.runner.SweepResult` — then predict by nearest
-    centroid in z-normalised feature space.
-    """
-
-    def __init__(self) -> None:
-        self._centroids: dict = {}
-        self._mean: np.ndarray | None = None
-        self._std: np.ndarray | None = None
-
-    @property
-    def is_trained(self) -> bool:
-        return bool(self._centroids)
-
-    def fit(self, features: list, labels: list) -> "NearestCentroidPredictor":
-        """``features``: list of :class:`PredictorFeatures`; ``labels``:
-        the best-performing ordering name per example."""
-        if len(features) != len(labels) or not features:
-            raise HarnessError("fit needs equally many features and labels")
-        x = np.array([f.vector() for f in features])
-        self._mean = x.mean(axis=0)
-        self._std = np.where(x.std(axis=0) > 0, x.std(axis=0), 1.0)
-        z = (x - self._mean) / self._std
-        self._centroids = {}
-        for name in set(labels):
-            rows = z[[i for i, l in enumerate(labels) if l == name]]
-            self._centroids[name] = rows.mean(axis=0)
-        return self
-
-    def predict(self, f: PredictorFeatures) -> str:
-        if not self.is_trained:
-            raise HarnessError("predictor is not trained; call fit() first")
-        z = (f.vector() - self._mean) / self._std
-        return min(self._centroids,
-                   key=lambda n: float(np.linalg.norm(
-                       z - self._centroids[n])))
-
-    @staticmethod
-    def labels_from_sweep(sweep, corpus, kernel: str,
-                          architecture: str) -> tuple:
-        """Harvest training data from a sweep: per matrix, the ordering
-        with the highest measured performance (original included)."""
-        features = []
-        labels = []
-        for entry in corpus:
-            best_name = None
-            best_perf = -1.0
-            for rec in sweep.records:
-                if (rec.matrix != entry.name or rec.kernel != kernel
-                        or rec.architecture != architecture):
-                    continue
-                if rec.gflops_max > best_perf:
-                    best_perf = rec.gflops_max
-                    best_name = rec.ordering
-            if best_name is None:
-                raise HarnessError(
-                    f"sweep holds no records for matrix {entry.name}")
-            features.append(extract_features(entry.matrix))
-            labels.append(best_name)
-        return features, labels

@@ -10,7 +10,7 @@ directory:
 * **corruption detection** — a flipped byte fails CRC verification, a
   truncated array fails the size check, and a snapshot whose spec
   changed is rebuilt rather than reused;
-* **transport equivalence** — a sweep over memmap-attached stored
+* **memmap equivalence** — a sweep over memmap-attached stored
   matrices produces records bit-identical to the same sweep over the
   in-RAM corpus.
 
@@ -62,7 +62,7 @@ def check_storage(seed: int = 0) -> CheckReport:
     report = CheckReport(suites=[SUITE])
     checks = (_check_roundtrip, _check_content_address,
               _check_corruption, _check_quarantine, _check_seed_change,
-              _check_transport_equivalence, _check_attach_stats)
+              _check_memmap_equivalence, _check_attach_stats)
     with tempfile.TemporaryDirectory(prefix="repro_check_storage_") as tmp:
         for fn in checks:
             try:
@@ -109,7 +109,7 @@ def _check_roundtrip(report, tmp, seed) -> None:
         report.check(mapped_nbytes(b.values) == b.values.nbytes, SUITE,
                      "snapshot-roundtrip-identical", subject,
                      "open_matrix returned heap arrays, not memmap "
-                     "views (the zero-copy transport would silently "
+                     "views (zero-copy worker attach would silently "
                      "materialise)")
 
 
@@ -218,7 +218,7 @@ def _check_seed_change(report, tmp, seed) -> None:
                  f"seed-{seed + 1} build {fresh.signature}")
 
 
-def _check_transport_equivalence(report, tmp, seed) -> None:
+def _check_memmap_equivalence(report, tmp, seed) -> None:
     """A sweep over memmap-attached stored entries must be
     bit-identical to the same sweep over the in-RAM corpus."""
     from ..generators import build_corpus
@@ -235,7 +235,7 @@ def _check_transport_equivalence(report, tmp, seed) -> None:
     report.check(mm_recs == ref_recs, SUITE,
                  "memmap-sweep-matches-inram", subject,
                  "records over memmap-attached matrices differ from "
-                 "the in-RAM corpus (the transport changed results)")
+                 "the in-RAM corpus (memmap attach changed results)")
 
 
 def _check_attach_stats(report, tmp, seed) -> None:
@@ -248,7 +248,7 @@ def _check_attach_stats(report, tmp, seed) -> None:
     missing = [k for k in CACHE_STATS_KEYS if k not in stats]
     report.check(not missing, SUITE, "cache-stats-schema", subject,
                  f"missing shared keys {missing}")
-    # the transport-equivalence sweep above attached matrices in this
+    # the memmap-equivalence sweep above attached matrices in this
     # process, so the memo must be non-empty and billed as mapped
     report.check(stats.get("mapped_bytes", 0) > 0
                  and stats.get("size_bytes", 1) == 0,

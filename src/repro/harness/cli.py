@@ -271,17 +271,12 @@ def _cmd_sweep(args) -> int:
         jsonl = args.trace + "l" if args.trace.endswith(".json") \
             else args.trace + ".jsonl"
         obs_trace.enable(jsonl_path=jsonl)
-    # --shm predates --transport and stays as an alias; an explicit
-    # --transport wins, otherwise on/off map to shm/pickle
-    transport = args.transport
-    if transport == "auto" and args.shm != "auto":
-        transport = {"on": "shm", "off": "pickle"}[args.shm]
     engine = SweepEngine(
         corpus, archs, orderings, kernels=kernels,
         cache=OrderingCache(path=args.cache),
         seed=args.seed, jobs=args.jobs, journal_path=args.journal,
         resume=args.resume, timeout=args.timeout, retries=args.retries,
-        transport=transport, shard_bytes=args.shard_bytes,
+        shard_bytes=args.shard_bytes,
         snapshot=snapshot,
         trace=bool(args.trace) or None,
         manifest_path=args.manifest or None,
@@ -457,19 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep a corpus snapshot directory (see "
                         "'repro snapshot') instead of generating "
                         "--tier in RAM")
-    p.add_argument("--transport", default="auto",
-                   choices=("auto", "shm", "memmap", "pickle"),
-                   help="matrix transport for --jobs>1: shared-memory "
-                        "segments, read-only disk memmaps, or explicit "
-                        "pickling ('auto' picks memmap for snapshot "
-                        "corpora, shm otherwise)")
     p.add_argument("--shard-bytes", type=int, default=None,
                    help="bound the matrix bytes in flight per pool "
                         "round; workers are recycled between shards so "
                         "peak RSS tracks the largest shard")
-    p.add_argument("--shm", default="auto", choices=("auto", "on", "off"),
-                   help="deprecated alias for --transport "
-                        "(on=shm, off=pickle)")
     p.add_argument("--journal", default=None,
                    help="append-only JSONL checkpoint file")
     p.add_argument("--resume", action="store_true",

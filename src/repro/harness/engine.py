@@ -8,7 +8,10 @@ kernel) grid; :class:`SweepEngine` executes that grid
   so every ordering of one matrix is computed in the same worker and
   the per-worker :class:`OrderingCache` pays the reordering cost once
   across all architectures; a dead worker breaks only its round, not
-  the sweep (the pool is rebuilt and unfinished tasks resubmitted);
+  the sweep (the pool is rebuilt and unfinished tasks resubmitted).
+  A task carries its corpus entry and nothing else: an in-RAM matrix
+  rides in the pickled task, a snapshot-backed one is memmapped by
+  the worker;
 * **resumably** — every completed cell is journaled to an append-only
   JSONL checkpoint, so an interrupted sweep restarted with
   ``resume=True`` skips finished cells (a torn final line is simply
@@ -53,7 +56,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import signal
 import threading
 import time
@@ -72,7 +74,6 @@ from ..obs import manifest as _manifest
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
                          set_trace_context, span)
-from . import shm as _shm
 
 JOURNAL_VERSION = 1
 
@@ -263,8 +264,8 @@ class SweepMetrics:
     wall_seconds: float = 0.0
     run_id: str | None = None
     stages: dict = field(default_factory=lambda: {
-        "generate": 0.0, "serialize": 0.0, "storage": 0.0,
-        "reorder": 0.0, "reuse_stats": 0.0, "model_eval": 0.0})
+        "generate": 0.0, "storage": 0.0, "reorder": 0.0,
+        "reuse_stats": 0.0, "model_eval": 0.0})
     cache: dict = field(default_factory=dict)
     model_stats: dict = field(default_factory=lambda: {
         "reuse_builds": 0, "reuse_hits": 0,
@@ -293,27 +294,16 @@ class SweepMetrics:
 class _TaskSpec:
     """One unit of pool work: every pending cell of one matrix.
 
-    ``transport`` names how the matrix travels to the worker:
-
-    * ``"inline"`` — ``entry.matrix`` is the matrix (serial runs);
-    * ``"shm"`` — ``entry.matrix`` is ``None`` and ``matrix_ref`` is a
-      :class:`~repro.harness.shm.ShmMatrixHandle` the worker attaches
-      to (zero-copy);
-    * ``"memmap"`` — ``matrix_ref`` is the path of a stored matrix
-      (:mod:`repro.storage.format`); workers memmap it read-only
-      (zero-copy like shm, but disk-backed: the mapping survives
-      worker death and its pages are reclaimable, so a sharded sweep's
-      RSS stays bounded);
-    * ``"pickle"`` — ``entry.matrix`` is ``None`` and ``matrix_ref``
-      holds explicitly pickled bytes (the fallback when shared memory
-      is unavailable or disabled; keeping the pickling explicit lets
-      both sides *time* it — see the ``serialize`` stage).
+    The entry is all a task carries.  An in-RAM
+    :class:`~repro.generators.suite.CorpusEntry` ships its matrix inside
+    the task the pool pickles anyway (``CSRMatrix`` pickles only its
+    defining arrays); a snapshot-backed
+    :class:`~repro.storage.snapshot.StoredEntry` pickles as metadata and
+    the worker memmaps its arrays read-only on first ``entry.matrix``.
     """
 
-    entry: object                # CorpusEntry (metadata; see transport)
+    entry: object                # CorpusEntry | StoredEntry
     pending: frozenset           # cells still to compute
-    transport: str = "inline"
-    matrix_ref: object = None    # ShmMatrixHandle | bytes | path | None
 
 
 @dataclass
@@ -354,9 +344,9 @@ _WORKER_CONFIG: _EngineConfig | None = None
 def _pool_init(config: _EngineConfig) -> None:
     global _WORKER_CONFIG
     _WORKER_CONFIG = config
-    # fork-started workers inherit the engine's buffered events (the
-    # pre-fork serialize spans from _pack_task); drop them so the first
-    # drain ships only spans this worker recorded itself.
+    # fork-started workers inherit the engine's buffered events; drop
+    # them so the first drain ships only spans this worker recorded
+    # itself.
     TRACER.clear()
     if config.trace and not TRACER.enabled:
         TRACER.enable()
@@ -372,35 +362,15 @@ def _pool_run(task: _TaskSpec) -> _TaskOutcome:
 
 
 def _resolve_task_matrix(task: _TaskSpec, timings: dict):
-    """Materialise the task's matrix on the worker side.
+    """Materialise the task's matrix, timed into the ``storage`` stage.
 
-    Shared-memory attach (zero-copy, memoised per worker process) or
-    explicit unpickle, timed into the ``serialize`` stage; a memmap
-    attach (also zero-copy and memoised) times into the ``storage``
-    stage; inline transport is free.
+    Free for in-RAM entries; a snapshot-backed entry memmaps its arrays
+    through the per-process attach memo (zero-copy, read-only).
     """
-    if task.transport == "inline":
-        return task.entry.matrix
-    if task.transport == "memmap":
-        from ..storage import format as _storage
-
-        t0 = time.perf_counter()
-        with span("storage", matrix=task.entry.name,
-                  transport="memmap", side="worker"):
-            a = _storage.attach_matrix(task.matrix_ref)
-        timings["storage"] += time.perf_counter() - t0
-        return a
     t0 = time.perf_counter()
-    with span("serialize", matrix=task.entry.name,
-              transport=task.transport, side="worker"):
-        if task.transport == "shm":
-            a = _shm.attach_matrix(task.matrix_ref)
-        elif task.transport == "pickle":
-            a = pickle.loads(task.matrix_ref)
-        else:
-            raise HarnessError(
-                f"unknown task transport {task.transport!r}")
-    timings["serialize"] += time.perf_counter() - t0
+    with span("storage", matrix=task.entry.name):
+        a = task.entry.matrix
+    timings["storage"] += time.perf_counter() - t0
     return a
 
 
@@ -429,8 +399,8 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
     entry = task.entry
     records: list = []
     failures: list = []
-    timings = {"serialize": 0.0, "storage": 0.0, "reorder": 0.0,
-               "reuse_stats": 0.0, "model_eval": 0.0}
+    timings = {"storage": 0.0, "reorder": 0.0, "reuse_stats": 0.0,
+               "model_eval": 0.0}
     a = _resolve_task_matrix(task, timings)
     retried = 0
     models = [(arch, factory(arch)) for arch in config.architectures]
@@ -560,7 +530,9 @@ class SweepEngine:
     jobs:
         Worker process count; ``1`` runs inline (no multiprocessing),
         which also preserves the caller's in-memory ``cache`` and
-        allows non-picklable ``model_factory`` hooks.
+        allows non-picklable ``model_factory`` hooks.  With ``jobs > 1``
+        each worker holds a private copy of an in-RAM task's matrix;
+        snapshot-backed entries are mapped, not copied.
     journal_path:
         JSONL checkpoint file.  ``None`` disables journaling.
     resume:
@@ -581,20 +553,6 @@ class SweepEngine:
     manifest_path:
         Where to write the :class:`~repro.obs.manifest.RunManifest`.
         ``None`` disables it.
-    shared_memory:
-        Legacy transport switch, kept for compatibility: ``True`` maps
-        to ``transport="shm"``, ``False`` to ``transport="pickle"``,
-        ``None`` to ``transport="auto"``.  Ignored when ``transport``
-        is given explicitly.
-    transport:
-        Matrix transport policy for pool runs: ``"shm"`` (shared-memory
-        segments, pickle fallback), ``"memmap"`` (stored matrices
-        attached read-only from disk — snapshot-backed entries map
-        their snapshot directly, in-RAM matrices are spilled to a
-        temporary store first), ``"pickle"`` (explicit bytes), or
-        ``"auto"`` (default: memmap when every corpus entry is
-        snapshot-backed, shm otherwise).  Serial (inline) runs ignore
-        this — the matrix never leaves the process.
     shard_bytes:
         Upper bound on the summed matrix bytes in flight per pool
         round.  When set, tasks are partitioned into consecutive
@@ -618,21 +576,12 @@ class SweepEngine:
                  timeout: float | None = None, retries: int = 0,
                  progress=None, trace: bool | None = None,
                  manifest_path: str | None = None,
-                 shared_memory: bool | None = None,
-                 transport: str | None = None,
                  shard_bytes: int | None = None,
                  snapshot=None) -> None:
         if jobs < 1:
             raise HarnessError(f"jobs must be >= 1, got {jobs}")
         if retries < 0:
             raise HarnessError(f"retries must be >= 0, got {retries}")
-        if transport is None:
-            transport = {None: "auto", True: "shm",
-                         False: "pickle"}[shared_memory]
-        if transport not in ("auto", "shm", "memmap", "pickle"):
-            raise HarnessError(
-                f"unknown transport {transport!r} "
-                "(expected auto, shm, memmap or pickle)")
         if shard_bytes is not None and shard_bytes <= 0:
             raise HarnessError(
                 f"shard_bytes must be positive, got {shard_bytes}")
@@ -651,18 +600,11 @@ class SweepEngine:
         self.progress = progress
         self.trace = trace
         self.manifest_path = manifest_path
-        self.transport = transport
         self.shard_bytes = shard_bytes
         self.snapshot = snapshot
         self.metrics = SweepMetrics(jobs=jobs)
         #: run-local merge target of every worker's registry delta
         self.registry = MetricsRegistry()
-        #: shared-memory segments this engine created (owned: unlinked
-        #: in ``run()``'s finally, whatever happened to the workers)
-        self._segments: list = []
-        #: temporary on-disk store for matrices spilled by the memmap
-        #: transport (never a user snapshot; removed in ``run()``)
-        self._spill_dir: str | None = None
 
     # -- cell enumeration ---------------------------------------------
     def signature(self) -> dict:
@@ -719,8 +661,8 @@ class SweepEngine:
         completed = self._load_checkpoint()
         # drop journal entries for cells not in this sweep's grid (the
         # signature check makes this impossible, but stay defensive)
-        completed = {c: r for c, r in completed.items()
-                     if c in set(all_cells)}
+        grid = set(all_cells)
+        completed = {c: r for c, r in completed.items() if c in grid}
         self.metrics.cells["total"] = len(all_cells)
         self.metrics.cells["resumed"] = len(completed)
 
@@ -731,7 +673,6 @@ class SweepEngine:
                           "trace": trace_on,
                           "journal": self.journal_path,
                           "kernels": list(self.kernels),
-                          "transport": self.transport,
                           "shard_bytes": self.shard_bytes}
             if self.snapshot is not None:
                 config_doc["snapshot"] = {
@@ -769,7 +710,7 @@ class SweepEngine:
             trace_id = self.metrics.run_id or f"sweep-{new_span_id()}"
             set_trace_context(trace_id)
             root_span = TRACER.span(
-                "sweep.run", jobs=self.jobs, transport=self.transport,
+                "sweep.run", jobs=self.jobs,
                 cells=len(all_cells)).__enter__()
             trace_ctx = (trace_id, root_span.span_id)
 
@@ -824,23 +765,18 @@ class SweepEngine:
                     consume(_run_matrix_task(task, config, cache=cache))
             else:
                 # one fresh pool per shard: tearing workers down at the
-                # shard boundary returns their RSS (and any shm
-                # segments / spilled matrices) before the next batch of
-                # matrices is put in flight, so peak memory tracks the
-                # largest shard, not the corpus
+                # shard boundary returns their RSS (private matrix
+                # copies and memmapped pages alike) before the next
+                # batch of matrices is put in flight, so peak memory
+                # tracks the largest shard, not the corpus
                 shards = self._shard_tasks(tasks)
                 self.metrics.workers["shards"] = len(shards)
                 for shard in shards:
-                    packed = [self._pack_task(t) for t in shard]
-                    self._run_pool(packed, config, completed, failures,
+                    self._run_pool(shard, config, completed, failures,
                                    consume, journal)
-                    self._release_segments()
-                    self._release_spill()
         finally:
             if journal is not None:
                 journal.close()
-            self._release_segments()
-            self._release_spill()
             if root_span is not None:
                 root_span.__exit__(None, None, None)
                 clear_trace_context()
@@ -867,7 +803,7 @@ class SweepEngine:
                 result.add(completed[cell])
         return result
 
-    # -- matrix transport ---------------------------------------------
+    # -- sharding ------------------------------------------------------
     @staticmethod
     def _entry_nbytes(entry) -> int:
         """On-the-wire CSR bytes of one corpus entry (rowptr int64 +
@@ -898,96 +834,6 @@ class SweepEngine:
         if current:
             shards.append(current)
         return shards
-
-    @staticmethod
-    def _strip_entry(entry):
-        """Return ``entry`` without its in-RAM matrix payload.
-
-        Snapshot-backed :class:`~repro.storage.snapshot.StoredEntry`
-        objects carry no matrix field at all (their ``matrix`` is a
-        lazy attach), so they pass through unchanged.
-        """
-        if "matrix" in getattr(entry, "__dataclass_fields__", {}):
-            return replace(entry, matrix=None)
-        return entry
-
-    def _spill_matrix(self, entry) -> str:
-        """Write an in-RAM matrix to the engine's temporary store so
-        the memmap transport can ship a path instead of bytes."""
-        import tempfile
-
-        from ..storage import format as _storage
-
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.mkdtemp(prefix="repro_spill_")
-        path = os.path.join(self._spill_dir, entry.name)
-        if not os.path.isdir(path):
-            _storage.write_matrix(path, entry.matrix,
-                                  meta={"name": entry.name,
-                                        "spilled": True})
-        return path
-
-    def _pack_task(self, task: _TaskSpec) -> _TaskSpec:
-        """Strip the matrix out of a pool-bound task.
-
-        Under the memmap policy the task ships the path of a stored
-        matrix (the entry's own snapshot directory when it has one,
-        else a spill into a temporary store), timed into the
-        ``storage`` stage.  Otherwise the matrix is exported to a
-        shared-memory segment (engine-owned; workers attach zero-copy)
-        or, when shared memory is disabled or either export fails,
-        pickled explicitly — timed into ``serialize``.  Either way the
-        entry travels without its matrix payload, which never rides
-        the pool's pickle pipe twice.
-        """
-        transport, ref = "pickle", None
-        policy = self.transport
-        if policy == "auto":
-            policy = ("memmap" if getattr(task.entry, "storage_path",
-                                          None) else "shm")
-        if policy == "memmap":
-            t0 = time.perf_counter()
-            with span("storage", matrix=task.entry.name, side="engine"):
-                try:
-                    path = (getattr(task.entry, "storage_path", None)
-                            or self._spill_matrix(task.entry))
-                except Exception:  # noqa: BLE001 - disk full etc.
-                    path = None
-            self.metrics.stages["storage"] += time.perf_counter() - t0
-            if path is not None:
-                return replace(task, entry=self._strip_entry(task.entry),
-                               transport="memmap", matrix_ref=path)
-        a = task.entry.matrix
-        t0 = time.perf_counter()
-        with span("serialize", matrix=task.entry.name, side="engine"):
-            if policy == "shm":
-                try:
-                    handle, seg = _shm.export_matrix(a)
-                except Exception:  # noqa: BLE001 - no /dev/shm etc.
-                    pass
-                else:
-                    self._segments.append(seg)
-                    transport, ref = "shm", handle
-            if ref is None:
-                ref = pickle.dumps(a, protocol=pickle.HIGHEST_PROTOCOL)
-        self.metrics.stages["serialize"] += time.perf_counter() - t0
-        return replace(task, entry=self._strip_entry(task.entry),
-                       transport=transport, matrix_ref=ref)
-
-    def _release_segments(self) -> None:
-        for seg in self._segments:
-            _shm.unlink_segment(seg)
-        self._segments = []
-
-    def _release_spill(self) -> None:
-        """Remove the temporary spill store (never a user snapshot —
-        snapshot-backed entries ship their own directories, which this
-        engine does not own)."""
-        if self._spill_dir is not None:
-            import shutil
-
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
-            self._spill_dir = None
 
     def _run_pool(self, tasks, config, completed, failures, consume,
                   journal) -> None:
@@ -1071,8 +917,6 @@ class SweepEngine:
                     fail_pending(index, attempts=rounds)
                 return
             # shrink resubmitted tasks by everything consumed so far
-            # (replace() keeps the transport and matrix_ref: a rebuilt
-            # pool's fresh workers re-attach to the same segments)
             for index, task in list(pending.items()):
                 still = frozenset(c for c in task.pending
                                   if c not in completed)

@@ -2,15 +2,15 @@
 
 * :mod:`repro.storage.format` — the chunked on-disk CSR format
   (versioned header, per-array CRC32s, atomic directory commit) and
-  the read-only ``np.memmap`` attach path the sweep engine's
-  ``memmap`` transport uses.
+  the read-only ``np.memmap`` attach path sweep workers use for
+  snapshot-backed entries.
 * :mod:`repro.storage.snapshot` — content-addressed corpus snapshots:
   deterministic build/reuse/quarantine/regenerate of whole tiers,
   including the streamed ``xl`` (10⁷–10⁸ nnz) tier that never exists
   in RAM.
 
-See ``docs/storage.md`` for the format, the transport matrix and the
-RSS-budgeting model.
+See ``docs/storage.md`` for the format, how sweeps attach stored
+matrices and the RSS-budgeting model.
 """
 
 from .format import (MatrixWriter, attach_cache_stats, attach_matrix,

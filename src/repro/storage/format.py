@@ -8,12 +8,11 @@ A stored matrix is a directory of four files::
       colidx.bin    int64,   little-endian, length nnz
       values.bin    float64, little-endian, length nnz
 
-The layout is deliberately the flat ``[rowptr | colidx | values]``
-triple the shared-memory transport already uses (:mod:`repro.harness.shm`)
-— a worker that attaches the directory gets read-only ``np.memmap``
-views with zero copies, backed by reclaimable page cache instead of
-``/dev/shm``, so the mapping survives worker death and costs no
-resident memory beyond the pages actually touched.
+The layout is the flat ``[rowptr | colidx | values]`` triple of
+:class:`~repro.matrix.csr.CSRMatrix` — a sweep worker that attaches
+the directory gets read-only ``np.memmap`` views with zero copies,
+backed by reclaimable page cache, so the mapping survives worker death
+and costs no resident memory beyond the pages actually touched.
 
 Durability rules:
 
@@ -364,7 +363,7 @@ def open_matrix(path: str, verify: str = "size"):
 
 
 # ----------------------------------------------------------------------
-# per-process attach memo (mirrors repro.harness.shm)
+# per-process attach memo
 # ----------------------------------------------------------------------
 #: path -> CSRMatrix; one mapping per matrix per process regardless of
 #: how many crash-retry rounds resubmit it.

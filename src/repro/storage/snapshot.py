@@ -90,10 +90,6 @@ class StoredEntry:
     nnz: int
 
     @property
-    def storage_path(self) -> str:
-        return self.path
-
-    @property
     def matrix(self):
         return fmt.attach_matrix(self.path)
 

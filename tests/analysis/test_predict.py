@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    NearestCentroidPredictor,
-    extract_features,
-    recommend_ordering,
-)
-from repro.analysis.predict import PredictorFeatures
+from repro.analysis import extract_features, recommend_ordering
 from repro.errors import HarnessError
 from repro.generators import banded_matrix, circuit_matrix, stencil_2d
 
@@ -50,48 +45,23 @@ def test_recommendation_2d_kernel():
     assert recommend_ordering(a, kernel="2d") in ("RCM", "GP")
 
 
-def _features(vals):
-    return PredictorFeatures(*vals)
-
-
-def test_nearest_centroid_basic():
-    # two clearly separated regions
-    train_f = [_features([0.9, 0.8, 1.0, 6.0, 0.3]) for _ in range(5)]
-    train_f += [_features([0.02, 0.05, 1.0, 6.0, 0.3]) for _ in range(5)]
-    labels = ["GP"] * 5 + ["original"] * 5
-    p = NearestCentroidPredictor().fit(train_f, labels)
-    assert p.predict(_features([0.85, 0.75, 1.0, 6.0, 0.3])) == "GP"
-    assert p.predict(_features([0.01, 0.04, 1.0, 6.0, 0.3])) == "original"
-
-
-def test_nearest_centroid_untrained_rejected():
-    p = NearestCentroidPredictor()
-    assert not p.is_trained
-    with pytest.raises(HarnessError):
-        p.predict(_features([0, 0, 1, 1, 0]))
-
-
-def test_nearest_centroid_fit_validation():
-    with pytest.raises(HarnessError):
-        NearestCentroidPredictor().fit([], [])
-    with pytest.raises(HarnessError):
-        NearestCentroidPredictor().fit(
-            [_features([0, 0, 1, 1, 0])], ["a", "b"])
-
-
 def test_trained_from_sweep():
+    """The learned half of examples/predict_ordering.py: the advisor
+    trained on a sweep picks from the orderings that sweep covered."""
+    from repro.advisor import Advisor, train_model
     from repro.generators import build_corpus
     from repro.harness import OrderingCache, run_sweep
     from repro.machine import get_architecture
 
     corpus = build_corpus("tiny", seed=3)[:5]
-    sweep = run_sweep(corpus, [get_architecture("Rome")],
-                      ["RCM", "GP"], cache=OrderingCache())
-    feats, labels = NearestCentroidPredictor.labels_from_sweep(
-        sweep, corpus, "1d", "Rome")
-    assert len(feats) == 5
-    assert set(labels) <= {"original", "RCM", "GP"}
-    p = NearestCentroidPredictor().fit(feats, labels)
-    # predictions come from the trained label set
-    for f in feats:
-        assert p.predict(f) in set(labels)
+    rome = get_architecture("Rome")
+    sweep = run_sweep(corpus, [rome], ["RCM", "GP"], cache=OrderingCache())
+    model = train_model(corpus=corpus, architectures=[rome],
+                        orderings=["RCM", "GP"], kernels=("1d",),
+                        sweep=sweep)
+    assert model.trained_on["rows"] == 5
+    advisor = Advisor(model)
+    for entry in corpus:
+        advice = advisor.advise(entry.matrix, rome, "1d",
+                                matrix_name=entry.name)
+        assert advice[0].ordering in {"original", "RCM", "GP"}

@@ -105,6 +105,29 @@ def test_resume_rejects_mismatched_signature(tiny_corpus, rome, tmp_path):
                     journal_path=journal, resume=True).run()
 
 
+def test_resume_drops_journaled_cells_outside_the_grid(
+        tiny_corpus, rome, tmp_path):
+    """A record for a cell this sweep does not own is ignored on resume:
+    not returned, not counted as resumed."""
+    journal = str(tmp_path / "sweep.jsonl")
+    _, clean = _run(tiny_corpus, rome, journal=journal)
+    rec = clean.records[0]
+    stray = ("not_in_corpus", rec.ordering, rec.kernel, rec.architecture)
+    with open(journal) as f:
+        lines = f.readlines()
+    # keep the matching header plus one hand-written foreign record
+    data = dict(json.loads(lines[1])["data"], matrix=stray[0])
+    with open(journal, "wt") as f:
+        f.write(lines[0])
+        f.write(json.dumps({"type": "record", "cell": list(stray),
+                            "data": data}) + "\n")
+
+    eng, resumed = _run(tiny_corpus, rome, journal=journal, resume=True)
+    assert eng.metrics.cells["resumed"] == 0
+    assert resumed.records == clean.records
+    assert all(r.matrix != stray[0] for r in resumed.records)
+
+
 def test_journal_without_resume_starts_fresh(tiny_corpus, rome, tmp_path):
     journal = str(tmp_path / "sweep.jsonl")
     _run(tiny_corpus, rome, journal=journal)

@@ -1,21 +1,25 @@
-"""Matrix transports and RSS-bounded sharding (PR 8 plumbing).
+"""How a matrix reaches a pool worker, and RSS-bounded sharding.
 
-Covers the generalisation of the PR 7 shm switch into a transport
-policy (``auto | shm | memmap | pickle``), the byte-bounded shard
-scheduler, the spill store for in-RAM corpora under the memmap policy,
-and the ``mapped_bytes`` accounting of memmap-backed ordering-cache
-entries (satellite 1).
+A pool task carries its corpus entry and nothing else.  An in-RAM
+matrix rides in the task the pool pickles; a snapshot-backed
+:class:`~repro.storage.snapshot.StoredEntry` pickles as metadata and
+the worker memmaps its arrays through the per-process attach memo.
+Covered here: pool records equal serial records for both kinds of
+corpus, an interrupted pool sweep resumes to the full run's records,
+the worker-side attach is timed under ``storage`` and memoised, the
+byte-bounded shard scheduler, and the ``mapped_bytes`` accounting of
+memmap-backed ordering-cache entries.
 """
 
-import glob
-import os
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.errors import HarnessError
 from repro.generators import build_corpus
-from repro.harness.engine import SweepEngine
+from repro.harness.engine import SweepEngine, _resolve_task_matrix, _TaskSpec
 from repro.machine import get_architecture
 from repro.storage import ensure_corpus_snapshot
 from repro.storage import format as fmt
@@ -24,6 +28,14 @@ from repro.storage import format as fmt
 @pytest.fixture(scope="module")
 def tiny_corpus():
     return build_corpus("tiny", seed=0, groups=("Banded",))[:3]
+
+
+@pytest.fixture(scope="module")
+def tiny_snapshot(tmp_path_factory):
+    """The same three matrices as ``tiny_corpus``, stored on disk."""
+    return ensure_corpus_snapshot(
+        str(tmp_path_factory.mktemp("snap") / "c"), tier="tiny", seed=0,
+        limit=3, groups=("Banded",))
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +57,55 @@ def _run(corpus, archs, **kw):
 # constructor policy
 # ----------------------------------------------------------------------
 def test_transport_validation(tiny_corpus, rome):
-    with pytest.raises(HarnessError, match="unknown transport"):
-        SweepEngine(tiny_corpus, rome, ["RCM"], transport="carrier-pigeon")
     with pytest.raises(HarnessError, match="shard_bytes"):
         SweepEngine(tiny_corpus, rome, ["RCM"], shard_bytes=0)
+    # there is one way to ship a matrix, so nothing to choose
+    for knob in ({"transport": "shm"}, {"shared_memory": True}):
+        with pytest.raises(TypeError):
+            SweepEngine(tiny_corpus, rome, ["RCM"], **knob)
 
 
-def test_legacy_shared_memory_maps_to_transport(tiny_corpus, rome):
-    for legacy, expected in ((None, "auto"), (True, "shm"),
-                             (False, "pickle")):
-        e = SweepEngine(tiny_corpus, rome, ["RCM"], shared_memory=legacy)
-        assert e.transport == expected
-    # explicit transport wins over the legacy switch
-    e = SweepEngine(tiny_corpus, rome, ["RCM"], shared_memory=True,
-                    transport="memmap")
-    assert e.transport == "memmap"
+# ----------------------------------------------------------------------
+# pool records equal serial records
+# ----------------------------------------------------------------------
+def test_pool_records_identical_to_serial(tiny_corpus, tiny_snapshot,
+                                          rome):
+    _, serial = _run(tiny_corpus, rome, seed=0, jobs=1)
+    _, pooled = _run(tiny_corpus, rome, seed=0, jobs=2)
+    assert pooled == serial
+    _, stored = _run(list(tiny_snapshot.entries), rome, seed=0, jobs=2,
+                     snapshot=tiny_snapshot)
+    assert stored == serial
+
+
+def test_memmap_over_snapshot_matches_pickle(tiny_corpus, tiny_snapshot,
+                                             rome):
+    """Stored entries attached by memmap give the records of the same
+    matrices pickled into the pool's tasks."""
+    _, ref = _run(tiny_corpus, rome, seed=0, jobs=2)
+    engine, mm = _run(list(tiny_snapshot.entries), rome, seed=0, jobs=2,
+                      snapshot=tiny_snapshot)
+    assert mm == ref
+    assert engine.metrics.stages["storage"] > 0.0
+    assert "serialize" not in engine.metrics.stages
+    assert engine.signature()["snapshot"] == tiny_snapshot.signature
+
+
+def test_interrupted_pool_sweep_resumes_to_full_records(tiny_corpus, rome,
+                                                        tmp_path):
+    journal = str(tmp_path / "sweep.jsonl")
+    _, full = _run(tiny_corpus, rome, seed=0, jobs=2, journal_path=journal)
+
+    # simulate a kill partway through: drop the last 4 journaled cells
+    with open(journal) as f:
+        lines = f.readlines()
+    with open(journal, "wt") as f:
+        f.writelines(lines[:-4])
+
+    engine, resumed = _run(tiny_corpus, rome, seed=0, jobs=2,
+                           journal_path=journal, resume=True)
+    assert resumed == full
+    assert engine.metrics.cells["resumed"] == len(lines) - 1 - 4
 
 
 # ----------------------------------------------------------------------
@@ -97,69 +143,21 @@ def test_shard_tasks_bounds_bytes(tiny_corpus, rome):
 def test_sharded_pool_sweep_matches_serial(tiny_corpus, rome):
     _, serial = _run(tiny_corpus, rome, seed=0, jobs=1)
     engine, sharded = _run(tiny_corpus, rome, seed=0, jobs=2,
-                           transport="pickle", shard_bytes=1)
+                           shard_bytes=1)
     assert sharded == serial
     assert engine.metrics.workers["shards"] > 1
 
 
 # ----------------------------------------------------------------------
-# memmap transport
+# worker-side attach
 # ----------------------------------------------------------------------
-def test_memmap_over_snapshot_matches_pickle(tmp_path, tiny_corpus, rome):
-    snap = ensure_corpus_snapshot(str(tmp_path / "c"), tier="tiny",
-                                  seed=0, limit=3, groups=("Banded",))
-    _, ref = _run(tiny_corpus, rome, seed=0, jobs=2, transport="pickle")
-    engine, mm = _run(list(snap.entries), rome, seed=0, jobs=2,
-                      transport="memmap", snapshot=snap)
-    assert mm == ref
-    assert engine.metrics.stages["storage"] >= 0.0
-    assert engine.signature()["snapshot"] == snap.signature
-
-
-def test_auto_prefers_memmap_for_stored_entries(tmp_path, tiny_corpus,
-                                                rome):
-    snap = ensure_corpus_snapshot(str(tmp_path / "c"), tier="tiny",
-                                  seed=0, limit=1, groups=("Banded",))
-    engine = SweepEngine(list(snap.entries), rome, ["RCM"],
-                         kernels=("1d",))
-
-    from repro.harness.engine import _TaskSpec
-
-    task = _TaskSpec(entry=snap.entries[0], pending=frozenset())
-    packed = engine._pack_task(task)
-    assert packed.transport == "memmap"
-    assert packed.matrix_ref == snap.entries[0].storage_path
-
-    # in-RAM entries under auto go shm (or pickle where shm is absent)
-    engine2 = SweepEngine(tiny_corpus, rome, ["RCM"], kernels=("1d",))
-    task2 = _TaskSpec(entry=tiny_corpus[0], pending=frozenset())
-    packed2 = engine2._pack_task(task2)
-    assert packed2.transport in ("shm", "pickle")
-    engine2._release_segments()
-
-
-def test_memmap_spills_inram_corpus_and_cleans_up(tiny_corpus, rome):
-    """Forcing memmap on an in-RAM corpus spills to a temp store that
-    is removed after the run."""
-    engine, recs = _run(tiny_corpus, rome, seed=0, jobs=2,
-                        transport="memmap")
-    _, ref = _run(tiny_corpus, rome, seed=0, jobs=1)
-    assert recs == ref
-    assert engine._spill_dir is None
-    assert not glob.glob("/tmp/repro_spill_*"), \
-        "spill directories leaked"
-
-
-def test_worker_attach_resolves_memmap(tmp_path, rome):
-    """The worker-side resolver attaches a stored matrix read-only."""
-    from repro.harness.engine import _TaskSpec, _resolve_task_matrix
-
-    snap = ensure_corpus_snapshot(str(tmp_path / "c"), tier="tiny",
-                                  seed=0, limit=1, groups=("Banded",))
-    entry = snap.entries[0]
-    task = _TaskSpec(entry=entry, pending=frozenset(),
-                     transport="memmap", matrix_ref=entry.storage_path)
-    timings = {"storage": 0.0, "deserialize": 0.0}
+def test_worker_attach_resolves_memmap(tiny_snapshot):
+    """The worker-side resolver attaches a stored matrix read-only and
+    times it under ``storage``."""
+    fmt.detach_all()
+    entry = tiny_snapshot.entries[0]
+    task = _TaskSpec(entry=entry, pending=frozenset())
+    timings = {"storage": 0.0}
     a = _resolve_task_matrix(task, timings)
     assert a.nnz == entry.nnz
     assert not a.values.flags.writeable
@@ -167,8 +165,31 @@ def test_worker_attach_resolves_memmap(tmp_path, rome):
     fmt.detach_all()
 
 
+def _resolve_twice(task):
+    """Pool-side probe: resolve one task's matrix twice in this worker
+    and report the attach memo."""
+    timings = {"storage": 0.0}
+    first = _resolve_task_matrix(task, timings)
+    second = _resolve_task_matrix(task, timings)
+    return first is second, fmt.attach_cache_stats()
+
+
+def test_worker_attach_is_memoised_per_process(tiny_snapshot):
+    """However often a worker sees a stored matrix (crash-retry rounds
+    resubmit tasks), it maps it once; the task itself is metadata."""
+    task = _TaskSpec(entry=tiny_snapshot.entries[0], pending=frozenset())
+    assert len(pickle.dumps(task)) < 4096
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=fmt.detach_all) as pool:
+        same, _ = pool.submit(_resolve_twice, task).result()
+        again, stats = pool.submit(_resolve_twice, task).result()
+    assert same and again
+    assert (stats["entries"], stats["misses"], stats["hits"]) == (1, 1, 3)
+    assert stats["mapped_bytes"] > 0
+
+
 # ----------------------------------------------------------------------
-# satellite 1: ordering-cache stats must not bill mapped permutations
+# ordering-cache stats must not bill mapped permutations
 # ----------------------------------------------------------------------
 def test_ordering_cache_reports_mapped_separately(tmp_path):
     from types import SimpleNamespace

@@ -67,7 +67,7 @@ def test_stored_entry_pickles_without_arrays(tmp_path):
     blob = pickle.dumps(entry)
     assert len(blob) < 4096
     clone = pickle.loads(blob)
-    assert clone.storage_path == entry.storage_path
+    assert clone.path == entry.path
     np.testing.assert_array_equal(clone.matrix.values, entry.matrix.values)
 
 
