@@ -1,4 +1,4 @@
-"""Advisor quality: learned selection vs oracle-best vs always-RCM.
+"""Advisor quality: learned selection vs oracle-best, always-RCM and rules.
 
 The product question behind :mod:`repro.advisor`: if a service had to
 pick ONE ordering per (matrix, architecture, kernel) request without
@@ -9,8 +9,8 @@ full sweep, and scored on the held-out matrices across all eight
 machines and both kernels.
 
 Acceptance: the advisor's picks must achieve >= 90% of the oracle-best
-geomean modeled speedup and beat the always-RCM single-default
-baseline.
+geomean modeled speedup and beat both the always-RCM single-default
+baseline and the hand-written rule baseline.
 """
 
 from repro.advisor import Advisor, AdvisorModel, build_dataset, \
@@ -52,4 +52,5 @@ def test_advisor_vs_oracle(benchmark, corpus, full_sweep, ordering_cache,
     assert report.geomean_oracle >= 1.0
     assert report.geomean_advisor >= 0.90 * report.geomean_oracle
     assert report.geomean_advisor > report.geomean_rcm
+    assert report.geomean_advisor > report.geomean_rules
     assert report.geomean_advisor > report.geomean_natural

@@ -25,11 +25,10 @@ import time
 import numpy as np
 
 from repro.harness.experiments import REORDERINGS
-from repro.machine import reuse as reuse_mod
 from repro.machine.bench import simulate_many, simulate_measurement
 from repro.machine.model import PerfModel
 from repro.matrix.csr import CSRMatrix
-from repro.spmv import schedule as schedule_mod
+from repro.obs.metrics import REGISTRY
 from repro.util import format_table
 
 from conftest import SEED, TIER
@@ -97,8 +96,7 @@ def test_fastpath_speedup_and_operation_counts(corpus, ordering_cache,
         legacy_s = time.perf_counter() - t0
 
     # -- fast pass: shared statistics, fresh matrices ------------------
-    counters_before = reuse_mod.counters_snapshot()
-    counters_before.update(schedule_mod.COUNTERS)
+    counters_before = REGISTRY.values()
     with _UniqueCounter() as fast_unique:
         t0 = time.perf_counter()
         fast_records = []
@@ -106,10 +104,10 @@ def test_fastpath_speedup_and_operation_counts(corpus, ordering_cache,
             fast_records.extend(
                 simulate_many(_fresh(m), archs, matrix_name=label))
         fast_s = time.perf_counter() - t0
-    counters_after = reuse_mod.counters_snapshot()
-    counters_after.update(schedule_mod.COUNTERS)
-    delta = {k: counters_after[k] - counters_before[k]
-             for k in counters_after}
+    counters_after = REGISTRY.values()
+    delta = {k: counters_after.get(k, 0) - counters_before.get(k, 0)
+             for k in ("reuse.builds", "reuse.hits", "schedule.builds",
+                       "schedule.hits")}
 
     # -- equivalence and operation-count gates -------------------------
     mismatch = [(f.matrix, f.architecture, f.kernel)
@@ -119,12 +117,12 @@ def test_fastpath_speedup_and_operation_counts(corpus, ordering_cache,
     assert fast_unique.calls == 0, \
         "fast path must not call np.unique"
     assert legacy_unique.calls > 0
-    assert delta["reuse_builds"] == len(variants), \
+    assert delta["reuse.builds"] == len(variants), \
         "expected exactly one statistics build per (matrix, ordering)"
-    assert delta["reuse_hits"] == ncells - len(variants)
-    assert delta["schedule_builds"] == \
+    assert delta["reuse.hits"] == ncells - len(variants)
+    assert delta["schedule.builds"] == \
         len(variants) * len(thread_counts) * 2
-    assert delta["schedule_hits"] == \
+    assert delta["schedule.hits"] == \
         len(variants) * (len(archs) - len(thread_counts)) * 2
 
     speedup = legacy_s / fast_s

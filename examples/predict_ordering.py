@@ -3,11 +3,10 @@
 
 The paper's future-work list ends with "use machine learning to predict
 the most effective reordering algorithm".  This example does exactly
-that with the library's two predictors:
-
-1. the rule model distilled from the paper's findings (zero training),
-2. the advisor's supervised selector (``repro.advisor``) *trained on
-   an actual sweep* of the corpus, evaluated on held-out matrices.
+that with the advisor's supervised selector (``repro.advisor``)
+*trained on an actual sweep* of the corpus, evaluated on held-out
+matrices.  ``repro.advisor.evaluate_advisor`` compares the same
+selector against the oracle, always-RCM and rule baselines.
 
 Run:  python examples/predict_ordering.py
 """
@@ -15,7 +14,6 @@ Run:  python examples/predict_ordering.py
 import numpy as np
 
 from repro.advisor import Advisor, train_model
-from repro.analysis import recommend_ordering
 from repro.generators import build_corpus
 from repro.harness import OrderingCache, run_sweep
 from repro.harness.experiments import REORDERINGS
@@ -52,14 +50,11 @@ def main() -> None:
         truth = max(perf, key=perf.get)
         learned = advisor.advise(entry.matrix, arch, "1d",
                                  matrix_name=entry.name)[0].ordering
-        rule = recommend_ordering(entry.matrix, nthreads=arch.threads)
         regret = perf[truth] / perf[learned]
         regrets.append(regret)
-        rows.append([entry.name, truth, learned, rule,
-                     f"{regret:.2f}x"])
+        rows.append([entry.name, truth, learned, f"{regret:.2f}x"])
     print(format_table(
-        ["matrix", "actual best", "learned pick", "rule pick",
-         "best/learned"], rows))
+        ["matrix", "actual best", "learned pick", "best/learned"], rows))
     print(f"\nmean regret of the learned predictor: "
           f"{np.mean(regrets):.2f}x (1.00x = always picked the best)")
 

@@ -2,10 +2,12 @@
 
 For every (test matrix, architecture, kernel) cell the advisor picks a
 top ordering from features alone; the sweep provides the measured
-speedup of that pick.  Three baselines anchor the numbers:
+speedup of that pick.  Four baselines anchor the numbers:
 
 * **oracle** — the measured-best ordering per cell (upper bound),
 * **always-RCM** — the paper's strongest single default,
+* **rules** — hand-written thresholds distilled from the paper's
+  findings (:func:`_rules_pick`), reading the same feature vector,
 * **natural** — never reorder (speedup 1.0 by definition).
 
 Use :func:`repro.generators.split_corpus` to keep the training and test
@@ -16,10 +18,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..analysis.stats import geomean
 from ..errors import AdvisorError
 from .dataset import build_dataset
+from .featurize import FEATURE_NAMES
 from .service import Advisor
+
+_REL_BANDWIDTH, _REL_OFFDIAG, _IMBALANCE_1D, _ROW_CV, _KERNEL_2D = (
+    FEATURE_NAMES.index(name) for name in (
+        "rel_bandwidth", "rel_offdiag", "imbalance_1d", "row_cv",
+        "kernel_2d"))
+
+
+def _rules_pick(features: np.ndarray) -> str:
+    """Rule baseline distilled from the paper's findings 1–5.
+
+    Reads an advisor feature vector and returns an ordering name
+    (possibly ``"original"``).
+    """
+    rel_bandwidth = features[_REL_BANDWIDTH]
+    rel_offdiag = features[_REL_OFFDIAG]
+    imbalance_1d = features[_IMBALANCE_1D]
+    # already narrow band and balanced: reordering rarely pays
+    # (paper: "matrices already having an efficient ordering")
+    if rel_bandwidth < 0.05 and imbalance_1d < 1.2:
+        return "original"
+    if not features[_KERNEL_2D]:
+        # heavy imbalance: the partitioners' row balancing + locality
+        # wins (finding 2); GP is the most reliable (finding 5)
+        if imbalance_1d > 1.5 or rel_offdiag > 0.5:
+            return "GP"
+        # moderate disorder with local structure: RCM's band recovery
+        # is nearly as good and an order of magnitude cheaper (Table 5)
+        if rel_bandwidth > 0.25 and features[_ROW_CV] < 0.8:
+            return "RCM"
+        return "GP"
+    # 2D kernel: balance is free, locality dominates; RCM and GP are
+    # the front-runners (Table 4), RCM being much cheaper to compute
+    if rel_offdiag > 0.6:
+        return "GP"
+    return "RCM"
 
 
 @dataclass(frozen=True)
@@ -32,6 +72,7 @@ class EvaluationReport:
     geomean_advisor: float
     geomean_oracle: float
     geomean_rcm: float
+    geomean_rules: float
     geomean_natural: float = 1.0
     picks: dict = field(default_factory=dict)   # ordering -> times picked
 
@@ -51,6 +92,8 @@ class EvaluationReport:
             ["advisor", self.geomean_advisor, self.fraction_of_oracle],
             ["always-RCM", self.geomean_rcm,
              self.geomean_rcm / self.geomean_oracle],
+            ["rules", self.geomean_rules,
+             self.geomean_rules / self.geomean_oracle],
             ["natural order", self.geomean_natural,
              self.geomean_natural / self.geomean_oracle],
         ]
@@ -77,6 +120,7 @@ def evaluate_advisor(advisor: Advisor, corpus: list, architectures: list,
     picked = []
     oracle = []
     rcm = []
+    rules = []
     picks: dict = {}
     for row in rows:
         ranked = advisor.model.predict_ranked(row.features, nnz=row.nnz,
@@ -87,6 +131,7 @@ def evaluate_advisor(advisor: Advisor, corpus: list, architectures: list,
         picked.append(sp)
         oracle.append(row.best_speedup)
         rcm.append(row.speedups.get("RCM", 1.0))
+        rules.append(row.speedups.get(_rules_pick(row.features), 1.0))
         hits += pick == row.best
         close += sp >= 0.95 * row.best_speedup
     return EvaluationReport(
@@ -96,5 +141,6 @@ def evaluate_advisor(advisor: Advisor, corpus: list, architectures: list,
         geomean_advisor=geomean(picked),
         geomean_oracle=geomean(oracle),
         geomean_rcm=geomean(rcm),
+        geomean_rules=geomean(rules),
         picks=picks,
     )

@@ -9,7 +9,6 @@
 from .stats import boxplot_summary, geomean, speedup_quartiles
 from .perfprofile import performance_profile, profile_at
 from .classes import classify_matrix, CLASS_DESCRIPTIONS
-from .predict import extract_features, recommend_ordering
 
 __all__ = [
     "geomean",
@@ -19,6 +18,4 @@ __all__ = [
     "profile_at",
     "classify_matrix",
     "CLASS_DESCRIPTIONS",
-    "extract_features",
-    "recommend_ordering",
 ]

@@ -43,8 +43,8 @@ from .findings import CheckReport
 SUITE = "artifacts"
 
 #: keys ``sweep_metrics.json`` must always carry
-METRICS_KEYS = ("jobs", "wall_seconds", "stages", "cache", "model_stats",
-                "cells", "workers", "registry")
+METRICS_KEYS = ("jobs", "wall_seconds", "stages", "cache", "cells",
+                "workers", "registry")
 
 
 def _check_caches(report: CheckReport, corpus) -> None:

@@ -7,7 +7,6 @@ Commands
 ``reorder``     reorder a Matrix Market file and report feature changes
 ``study``       run the speedup study (Figs 2/3, Tables 3/4) on a tier
 ``sweep``       run the parallel, resumable measurement sweep engine
-``recommend``   suggest an ordering for a Matrix Market file
 ``advise``      learned, ranked ordering selection (repro.advisor)
 ``serve``       run the always-on advisor daemon (repro.serve)
 ``loadgen``     replay seeded zipf/bursty traffic at a daemon
@@ -32,7 +31,6 @@ import argparse
 import os
 import sys
 
-from ..analysis import recommend_ordering
 from ..features import bandwidth, offdiagonal_nonzeros, profile
 from ..generators import build_corpus
 from ..machine import architecture_names, get_architecture
@@ -81,15 +79,6 @@ def _cmd_reorder(args) -> int:
     if args.output:
         write_matrix_market(b, args.output)
         print(f"wrote {args.output}")
-    return 0
-
-
-def _cmd_recommend(args) -> int:
-    a = read_matrix_market(args.input)
-    choice = recommend_ordering(a, nthreads=args.nparts,
-                                kernel=args.kernel)
-    print(f"recommended ordering for the {args.kernel.upper()} kernel: "
-          f"{choice}")
     return 0
 
 
@@ -387,13 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.add_argument("--nparts", type=int, default=64)
     p.set_defaults(func=_cmd_reorder)
-
-    p = sub.add_parser("recommend",
-                       help="suggest an ordering for a matrix")
-    p.add_argument("input")
-    p.add_argument("--kernel", default="1d", choices=("1d", "2d"))
-    p.add_argument("--nparts", type=int, default=64)
-    p.set_defaults(func=_cmd_recommend)
 
     p = sub.add_parser(
         "advise",

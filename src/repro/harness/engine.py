@@ -77,15 +77,6 @@ from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
 
 JOURNAL_VERSION = 1
 
-#: registry-counter → legacy ``sweep_metrics.json`` ``model_stats``
-#: key mapping (the metrics artifact is now a view over the registry).
-_MODEL_STAT_NAMES = {
-    "reuse.builds": "reuse_builds", "reuse.hits": "reuse_hits",
-    "schedule.builds": "schedule_builds",
-    "schedule.hits": "schedule_hits",
-}
-
-
 class CellTimeout(HarnessError):
     """A sweep cell exceeded its wall-clock budget."""
 
@@ -254,8 +245,8 @@ class SweepJournal:
 class SweepMetrics:
     """Machine-readable observability artifact of one engine run.
 
-    Since the obs layer landed this is a thin *view*: ``model_stats``
-    and ``registry`` are populated from the engine's run-local
+    Since the obs layer landed this is a thin *view*: ``registry`` is
+    populated from the engine's run-local
     :class:`~repro.obs.metrics.MetricsRegistry` (the merge of every
     worker's shipped delta), not from hand-maintained dicts.
     """
@@ -267,9 +258,6 @@ class SweepMetrics:
         "generate": 0.0, "storage": 0.0, "reorder": 0.0,
         "reuse_stats": 0.0, "model_eval": 0.0})
     cache: dict = field(default_factory=dict)
-    model_stats: dict = field(default_factory=lambda: {
-        "reuse_builds": 0, "reuse_hits": 0,
-        "schedule_builds": 0, "schedule_hits": 0})
     cells: dict = field(default_factory=lambda: {
         "total": 0, "completed": 0, "resumed": 0, "failed": 0,
         "retried": 0})
@@ -791,10 +779,6 @@ class SweepEngine:
         self.metrics.workers["utilization"] = (
             sum(busy.values()) / denom if denom > 0 else 0.0)
         # the metrics artifact is a view over the merged registry
-        reg_values = self.registry.values()
-        self.metrics.model_stats = {
-            legacy: reg_values.get(name, 0)
-            for name, legacy in _MODEL_STAT_NAMES.items()}
         self.metrics.registry = self.registry.snapshot()
 
         result = SweepResult(failed=failures)

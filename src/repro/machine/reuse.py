@@ -33,9 +33,7 @@ count from them:
 Build/hit counters live in the process-global
 :data:`repro.obs.REGISTRY` (``reuse.builds`` / ``reuse.hits`` /
 ``reuse.bytes``) so the sweep engine can prove in
-``sweep_metrics.json`` how much recomputation the fast path removed;
-``COUNTERS`` remains as a live read-only view with the legacy key
-names for existing tests, benchmarks and dashboards.
+``sweep_metrics.json`` how much recomputation the fast path removed.
 """
 
 from __future__ import annotations
@@ -43,21 +41,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import cachestats
-from ..obs.metrics import REGISTRY, CounterView
+from ..obs.metrics import REGISTRY
 
 _BUILDS = REGISTRY.counter("reuse.builds")
 _HITS = REGISTRY.counter("reuse.hits")
 _BYTES = REGISTRY.counter("reuse.bytes")
-
-#: live view over the registry counters under their legacy key names;
-#: the sweep engine snapshots it around each task and reports the
-#: delta in ``sweep_metrics.json``.
-COUNTERS = CounterView({"reuse_builds": _BUILDS, "reuse_hits": _HITS})
-
-
-def counters_snapshot() -> dict:
-    """A plain-dict copy of the current counter values."""
-    return dict(COUNTERS)
 
 
 def reuse_cache_stats() -> dict:

@@ -13,6 +13,7 @@ every off-diagonal entry contributes a nonzero in both triangles.
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +57,24 @@ def _read(f) -> CSRMatrix:
     while line.startswith("%"):
         line = f.readline()
     dims = line.split()
-    if len(dims) != 3:
-        raise MatrixFormatError(f"bad size line: {line!r}")
-    nrows, ncols, nnz = (int(d) for d in dims)
+    try:
+        nrows, ncols, nnz = (int(d) for d in dims)
+    except ValueError:
+        raise MatrixFormatError(f"bad size line: {line!r}") from None
+    # refuse a size line whose CSR row pointer alone, 8 * (nrows + 1)
+    # bytes, could not fit in physical memory
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if 8 * (nrows + 1) > memory:
+        raise MatrixFormatError(
+            f"{nrows} rows need a {8 * (nrows + 1)}-byte row pointer, "
+            f"more than the {memory} bytes of physical memory")
 
     ncols_per_line = 2 if field == "pattern" else 3
-    data = np.loadtxt(f, ndmin=2) if nnz else np.empty((0, ncols_per_line))
+    try:
+        data = (np.loadtxt(f, ndmin=2) if nnz
+                else np.empty((0, ncols_per_line)))
+    except ValueError as exc:
+        raise MatrixFormatError(f"malformed entry line: {exc}") from None
     if data.shape[0] != nnz:
         raise MatrixFormatError(
             f"expected {nnz} entries, file holds {data.shape[0]}")
@@ -69,6 +82,10 @@ def _read(f) -> CSRMatrix:
         raise MatrixFormatError(
             f"expected {ncols_per_line} columns per entry for field "
             f"'{field}', got {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise MatrixFormatError("entries must be finite (no nan or inf)")
+    if not (data[:, :2] == np.floor(data[:, :2])).all():
+        raise MatrixFormatError("row and column indices must be integers")
     row = data[:, 0].astype(np.int64) - 1  # 1-based on disk
     col = data[:, 1].astype(np.int64) - 1
     vals = np.ones(nnz) if field == "pattern" else data[:, 2].astype(np.float64)

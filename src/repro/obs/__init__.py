@@ -34,8 +34,8 @@ from .cachestats import (CACHE_STATS_KEYS, CacheStatCounters, cache_stats,
                          sizeof_value)
 from .log import get_logger, setup_cli_logging
 from .manifest import RunManifest, collect
-from .metrics import (REGISTRY, Counter, CounterView, Gauge, Histogram,
-                      MetricsRegistry, get_registry, log_buckets)
+from .metrics import (REGISTRY, Counter, Gauge, Histogram, MetricsRegistry,
+                      get_registry, log_buckets)
 from .perf import (BenchLedger, bench_record, compare_ledgers,
                    compare_records, metric, run_builtin_bench)
 from .profiler import ProfilerError, SamplingProfiler, maybe_profile
@@ -44,8 +44,8 @@ from .trace import TRACER, Tracer, disable, enable, is_enabled, span
 __all__ = [
     "CACHE_STATS_KEYS", "CacheStatCounters", "cache_stats",
     "sizeof_value", "get_logger", "setup_cli_logging", "RunManifest",
-    "collect", "REGISTRY", "Counter", "CounterView", "Gauge",
-    "Histogram", "MetricsRegistry", "get_registry", "log_buckets",
+    "collect", "REGISTRY", "Counter", "Gauge", "Histogram",
+    "MetricsRegistry", "get_registry", "log_buckets",
     "BenchLedger", "bench_record", "compare_ledgers", "compare_records",
     "metric", "run_builtin_bench", "ProfilerError", "SamplingProfiler",
     "maybe_profile",

@@ -35,11 +35,10 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from collections.abc import Mapping
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "CounterView",
-    "REGISTRY", "get_registry", "log_buckets", "snapshot_quantile",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
+    "get_registry", "log_buckets", "snapshot_quantile",
 ]
 
 
@@ -333,32 +332,6 @@ class MetricsRegistry:
         """Forget every metric (tests only)."""
         with self._lock:
             self._metrics.clear()
-
-
-class CounterView(Mapping):
-    """A live, read-only dict-like view over named registry counters.
-
-    Legacy call sites (``repro.machine.reuse.COUNTERS``,
-    ``repro.spmv.schedule.COUNTERS``) exposed plain dicts that tests,
-    benchmarks and the sweep engine read with ``dict(COUNTERS)`` /
-    ``COUNTERS[key]``.  The view keeps those reads working verbatim
-    while the values live in the registry.
-    """
-
-    def __init__(self, counters: dict) -> None:
-        self._counters = dict(counters)  # legacy key -> Counter
-
-    def __getitem__(self, key: str) -> int:
-        return self._counters[key].value
-
-    def __iter__(self):
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def __repr__(self) -> str:
-        return f"CounterView({dict(self)!r})"
 
 
 #: the process-global default registry; workers snapshot/delta it and

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import ScheduleError
 from ..matrix.csr import CSRMatrix
-from ..obs.metrics import REGISTRY, CounterView
+from ..obs.metrics import REGISTRY
 from ..util.validate import require
 
 
@@ -128,17 +128,6 @@ def schedule_merge(a: CSRMatrix, nthreads: int) -> Schedule:
 
 _BUILDS = REGISTRY.counter("schedule.builds")
 _HITS = REGISTRY.counter("schedule.hits")
-
-#: live view over the registry's schedule-cache counters under their
-#: legacy key names; the sweep engine snapshots them around each task
-#: and reports the delta in sweep_metrics.json.
-COUNTERS = CounterView({"schedule_builds": _BUILDS,
-                        "schedule_hits": _HITS})
-
-
-def counters_snapshot() -> dict:
-    """A plain-dict copy of the current counter values."""
-    return dict(COUNTERS)
 
 
 def get_schedule(a: CSRMatrix, kind: str, nthreads: int) -> Schedule:

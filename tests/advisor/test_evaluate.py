@@ -31,6 +31,7 @@ def test_oracle_bounds_everything(report):
     assert report.geomean_oracle >= 1.0
     assert report.geomean_advisor <= report.geomean_oracle + 1e-12
     assert report.geomean_rcm <= report.geomean_oracle + 1e-12
+    assert report.geomean_rules <= report.geomean_oracle + 1e-12
     assert report.geomean_natural == 1.0
     assert 0.0 < report.fraction_of_oracle <= 1.0 + 1e-12
 
@@ -38,7 +39,8 @@ def test_oracle_bounds_everything(report):
 def test_report_rows_render(report):
     rows = report.rows()
     assert [r[0] for r in rows] == ["oracle-best", "advisor",
-                                    "always-RCM", "natural order"]
+                                    "always-RCM", "rules",
+                                    "natural order"]
     assert rows[0][2] == 1.0
 
 

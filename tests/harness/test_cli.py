@@ -44,12 +44,6 @@ def test_reorder_rejects_unknown_ordering(mtx_file):
         main(["reorder", mtx_file, "QuickSort"])
 
 
-def test_recommend_command(mtx_file, capsys):
-    assert main(["recommend", mtx_file]) == 0
-    out = capsys.readouterr().out
-    assert "recommended ordering" in out
-
-
 def test_study_command(capsys, tmp_path):
     assert main(["study", "--tier", "tiny", "--archs", "Rome",
                  "--cache", str(tmp_path / "cache")]) == 0

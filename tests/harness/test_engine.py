@@ -341,18 +341,20 @@ def test_metrics_report_model_stat_reuse(tmp_path):
     archs = [get_architecture(n) for n in ("Naples", "TX2")]
     engine = SweepEngine(corpus, archs, ["RCM", "Gray"])
     engine.run()
-    stats = engine.metrics.model_stats
+    stats = engine.registry.values()
     # 3 variants (original, RCM, Gray) per matrix, one statistics build
     # each; every further (arch, kernel) cell is a hit
-    assert stats["reuse_builds"] == 3 * len(corpus)
-    assert stats["reuse_hits"] > 0
-    assert stats["schedule_builds"] > 0
-    assert stats["schedule_hits"] > 0
+    assert stats.get("reuse.builds", 0) == 3 * len(corpus)
+    assert stats.get("reuse.hits", 0) > 0
+    assert stats.get("schedule.builds", 0) > 0
+    assert stats.get("schedule.hits", 0) > 0
     assert "reuse_stats" in engine.metrics.stages
     path = tmp_path / "sweep_metrics.json"
     engine.metrics.save(path)
     m = json.loads(path.read_text())
-    assert m["model_stats"] == stats
+    for name in ("reuse.builds", "reuse.hits", "schedule.builds",
+                 "schedule.hits"):
+        assert m["registry"][name]["value"] == stats[name]
     assert set(m["stages"]) >= {"reorder", "reuse_stats", "model_eval"}
 
 

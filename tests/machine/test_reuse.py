@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 from repro.machine.reuse import (
-    COUNTERS,
     ReuseStats,
-    counters_snapshot,
     distinct_count,
     prev_occurrence,
     stack_distances,
     windowed_distinct_loads,
 )
+from repro.obs.metrics import REGISTRY
 from ..conftest import random_csr
 
 
@@ -106,19 +105,19 @@ def test_reuse_stats_memoised_per_matrix(rng):
 def test_reuse_stats_counters_track_builds_and_hits(rng):
     a = random_csr(60, 300, rng)
     stats = ReuseStats.for_matrix(a)
-    before = counters_snapshot()
+    before = REGISTRY.values()
     p1 = stats.prev(8)
-    mid = counters_snapshot()
-    assert mid["reuse_builds"] == before["reuse_builds"] + 1
-    assert mid["reuse_hits"] == before["reuse_hits"]
+    mid = REGISTRY.values()
+    assert mid["reuse.builds"] == before["reuse.builds"] + 1
+    assert mid["reuse.hits"] == before["reuse.hits"]
     p2 = stats.prev(8)
-    after = counters_snapshot()
+    after = REGISTRY.values()
     assert p2 is p1
-    assert after["reuse_builds"] == mid["reuse_builds"]
-    assert after["reuse_hits"] == mid["reuse_hits"] + 1
+    assert after["reuse.builds"] == mid["reuse.builds"]
+    assert after["reuse.hits"] == mid["reuse.hits"] + 1
     # a different line size is its own statistic, not a hit
     stats.prev(4)
-    assert COUNTERS["reuse_builds"] == after["reuse_builds"] + 1
+    assert REGISTRY.values()["reuse.builds"] == after["reuse.builds"] + 1
 
 
 def test_reuse_stats_values(rng):

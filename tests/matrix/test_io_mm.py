@@ -101,6 +101,20 @@ def test_entry_count_mismatch_rejected():
         read_matrix_market(text)
 
 
+@pytest.mark.parametrize("body", [
+    "1000000000000 1000000000000 1\n1 1 1.0\n",  # 8 TB row pointer
+    "2 2 2\n1 1 nan\n2 2 inf\n",
+    "2 x 1\n1 1 1.0\n",
+    "2 2 1\n1 1 abc\n",
+    "2 2 1\n1.5 1 1.0\n",
+], ids=["huge-dims", "non-finite", "bad-size-line", "non-numeric",
+        "fractional-index"])
+def test_malformed_input_raises_format_error(body):
+    text = "%%MatrixMarket matrix coordinate real general\n" + body
+    with pytest.raises(MatrixFormatError):
+        read_matrix_market(text)
+
+
 def test_integer_field():
     text = "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n"
     a = read_matrix_market(text)

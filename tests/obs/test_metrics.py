@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs.metrics import (
-    CounterView,
-    Histogram,
-    MetricsRegistry,
-    log_buckets,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, log_buckets
 
 
 def test_counter_monotone_and_rejects_negative():
@@ -86,19 +81,6 @@ def test_merge_deltas_from_two_workers_is_exact():
     assert engine.histogram("lat", (0.1, 1.0)).count == 2
 
 
-def test_counter_view_is_a_live_readonly_mapping():
-    r = MetricsRegistry()
-    c = r.counter("reuse.builds")
-    view = CounterView({"reuse_builds": c})
-    assert dict(view) == {"reuse_builds": 0}
-    c.inc(2)
-    assert view["reuse_builds"] == 2
-    assert len(view) == 1 and "reuse_builds" in view
-    target = {"other": 1}
-    target.update(view)  # the benchmark's read pattern
-    assert target == {"other": 1, "reuse_builds": 2}
-
-
 def test_snapshot_is_json_shaped():
     import json
 
@@ -109,12 +91,12 @@ def test_snapshot_is_json_shaped():
     assert json.loads(json.dumps(r.snapshot())) == r.snapshot()
 
 
-def test_instrumented_modules_expose_legacy_counter_names():
-    from repro.machine import reuse
-    from repro.spmv import schedule
+def test_instrumented_modules_register_their_counters():
+    from repro.machine import reuse  # noqa: F401
+    from repro.obs.metrics import REGISTRY
+    from repro.spmv import schedule  # noqa: F401
 
-    assert set(dict(reuse.COUNTERS)) == {"reuse_builds", "reuse_hits"}
-    assert set(dict(schedule.COUNTERS)) == {"schedule_builds",
-                                            "schedule_hits"}
-    assert reuse.counters_snapshot() == dict(reuse.COUNTERS)
-    assert schedule.counters_snapshot() == dict(schedule.COUNTERS)
+    snap = REGISTRY.snapshot()
+    for name in ("reuse.builds", "reuse.hits", "schedule.builds",
+                 "schedule.hits"):
+        assert snap[name]["type"] == "counter"

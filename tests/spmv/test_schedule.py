@@ -100,14 +100,17 @@ def test_schedule_validation():
 
 
 def test_get_schedule_memoises_per_matrix(rng):
-    from repro.spmv.schedule import COUNTERS, get_schedule
+    from repro.obs.metrics import REGISTRY
+    from repro.spmv.schedule import get_schedule
 
     a = random_csr(40, 200, rng)
-    before = dict(COUNTERS)
+    before = REGISTRY.values()
     s1 = get_schedule(a, "1d", 4)
-    assert COUNTERS["schedule_builds"] == before["schedule_builds"] + 1
+    assert REGISTRY.values()["schedule.builds"] == \
+        before["schedule.builds"] + 1
     assert get_schedule(a, "1d", 4) is s1
-    assert COUNTERS["schedule_hits"] == before["schedule_hits"] + 1
+    assert REGISTRY.values()["schedule.hits"] == \
+        before["schedule.hits"] + 1
     # a different kind or thread count is its own cache entry
     s2 = get_schedule(a, "2d", 4)
     s3 = get_schedule(a, "1d", 8)
