@@ -195,6 +195,18 @@ def _fault_kernel_skips_last_thread():
     return _patched(kernels, "spmv_1d", skipping)
 
 
+def _fault_kernel_2d_drops_boundary_partial():
+    from ..spmv import kernels
+
+    orig = kernels._boundary_partials
+
+    def dropping(a, schedule, products):
+        rows, partials = orig(a, schedule, products)
+        return rows, partials[:-1]  # the row restarts from zero only
+
+    return _patched(kernels, "_boundary_partials", dropping)
+
+
 def _fault_model_fastpath_drift():
     from ..machine.reuse import ReuseStats
 
@@ -542,6 +554,11 @@ FAULTS = (
           "the 1D kernel never computes the last thread's rows",
           "spmv-matches-dense-oracle", _kernels_target,
           _fault_kernel_skips_last_thread),
+    Fault("kernel-2d-drops-boundary-partial",
+          "the 2D kernel resets the last thread's boundary row but "
+          "never adds that thread's partial sum",
+          "spmv-matches-dense-oracle", _kernels_target,
+          _fault_kernel_2d_drops_boundary_partial),
     Fault("swapped-permutation-direction",
           "permute_symmetric applies the inverse (old-to-new) "
           "permutation",

@@ -13,9 +13,10 @@ Two shared-memory parallel kernels over CSR:
   boundaries and nonzeros is split evenly, so row-loop overhead is
   balanced too.
 
-This being a pure-Python reproduction, the kernels execute the thread
-segments sequentially but with bit-identical work division; the timing
-comes from :mod:`repro.machine`, not the wall clock.
+This being a pure-Python reproduction, the kernels run as one
+vectorised pass whose result is bit-identical to executing the thread
+segments in turn; the timing comes from :mod:`repro.machine`, not the
+wall clock.
 """
 
 from .registry import (

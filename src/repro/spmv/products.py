@@ -14,10 +14,10 @@ adds the two product workloads whose reordering story differs:
   of the streamed CSR arrays is amortised while gathers and compute
   scale with ``k``.
 
-Both are executed with vectorised numpy and deterministic reduction
-order (sorted segments + ``reduceat`` / ``np.add.at``), so repeated
-runs — and runs under different ``PYTHONHASHSEED`` — are bit-identical,
-matching the repository-wide determinism contract.
+Both run as vectorised numpy in a deterministic reduction order
+(SpGEMM: sorted segments + ``reduceat``; SpMM: the one-pass
+``bincount`` of :mod:`repro.spmv.kernels`, float64-cast), so runs
+under any ``PYTHONHASHSEED`` are bit-identical.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from ..errors import ScheduleError
 from ..matrix.csr import CSRMatrix
-from .kernels import _check_values
-from .schedule import schedule_1d, schedule_2d, schedule_merge
+from .kernels import _boundary_partials, _check_values, _check_x, _row_sums
+from .schedule import build_schedule
 
 
 def _coalesce(nrows: int, ncols: int, rows: np.ndarray, cols: np.ndarray,
@@ -110,63 +110,20 @@ def spgemm_flops(a: CSRMatrix, b: CSRMatrix | None = None) -> float:
     return float(2.0 * np.diff(b.rowptr)[a.colidx].sum())
 
 
-def _check_xblock(a: CSRMatrix, x: np.ndarray) -> np.ndarray:
-    try:
-        x = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ScheduleError(f"X is not convertible to float64: {e}") \
-            from None
-    if x.ndim != 2 or x.shape[0] != a.ncols or x.shape[1] < 1:
-        raise ScheduleError(
-            f"X has shape {x.shape}, expected ({a.ncols}, k>=1)")
-    if x.size and not np.all(np.isfinite(x)):
-        raise ScheduleError(
-            "X contains non-finite values; SpMM would silently "
-            "produce NaNs")
-    return x
-
-
 def spmm(a: CSRMatrix, x: np.ndarray, kind: str = "1d",
          nthreads: int = 1) -> np.ndarray:
     """Y = A·X for a dense ``(ncols, k)`` block X.
 
-    Mirrors the scheduled SpMV kernels' work division exactly: threads
-    own the same entry ranges as :func:`~repro.spmv.kernels.spmv_1d` /
-    ``spmv_2d`` would, with the 2D/merge boundary rows combined through
-    per-thread partial sums — only each product is a length-``k`` row
-    vector instead of a scalar.
+    Runs as :func:`~repro.spmv.kernels.spmv_1d` / ``spmv_2d`` do: one
+    pass with one ``np.bincount`` per column of X, and for 2D/merge
+    the boundary rows combined from per-thread partial sums in thread
+    order — each product is a length-``k`` row instead of a scalar.
     """
-    if kind == "1d":
-        schedule = schedule_1d(a, nthreads)
-    elif kind == "2d":
-        schedule = schedule_2d(a, nthreads)
-    elif kind == "merge":
-        schedule = schedule_merge(a, nthreads)
-    else:
-        raise ScheduleError(f"unknown kernel kind {kind!r}")
-    x = _check_xblock(a, x)
+    schedule = build_schedule(a, kind, nthreads)
+    x = _check_x(a, x, block=True)
     _check_values(a)
-    y = np.zeros((a.nrows, x.shape[1]))
-    rows_all = a.row_of_entry()
-    boundary_contrib = []
-    for t in range(schedule.nthreads):
-        lo, hi = schedule.thread_entry_range(t)
-        if lo == hi:
-            continue
-        seg_rows = rows_all[lo:hi]
-        products = a.values[lo:hi, None] * x[a.colidx[lo:hi], :]
-        if kind == "1d":
-            np.add.at(y, seg_rows, products)
-            continue
-        first_row = int(seg_rows[0])
-        last_row = int(seg_rows[-1])
-        interior = (seg_rows != first_row) & (seg_rows != last_row)
-        np.add.at(y, seg_rows[interior], products[interior])
-        boundary_contrib.append(
-            (first_row, products[seg_rows == first_row].sum(axis=0)))
-        if last_row != first_row:
-            boundary_contrib.append(
-                (last_row, products[seg_rows == last_row].sum(axis=0)))
-    for row, val in boundary_contrib:
-        y[row] += val
-    return y
+    # gathered as a (k, nnz) block: one contiguous row per column of X
+    products = (x.T.take(a.colidx, axis=1) * a.values).T
+    return _row_sums(a, products, None if kind == "1d" else
+                     _boundary_partials(a, schedule,
+                                        np.ascontiguousarray(products)))

@@ -150,15 +150,7 @@ def get_schedule(a: CSRMatrix, kind: str, nthreads: int) -> Schedule:
     if schedule is not None:
         _HITS.inc()
         return schedule
-    if kind == "1d":
-        schedule = schedule_1d(a, nthreads)
-    elif kind == "2d":
-        schedule = schedule_2d(a, nthreads)
-    elif kind == "merge":
-        schedule = schedule_merge(a, nthreads)
-    else:
-        raise ScheduleError(f"unknown kernel {kind!r}")
-    cache[key] = schedule
+    schedule = cache[key] = build_schedule(a, kind, nthreads)
     _BUILDS.inc()
     return schedule
 
@@ -180,3 +172,13 @@ def schedule_2d(a: CSRMatrix, nthreads: int) -> Schedule:
     row_start[0] = 0
     return Schedule(kind="2d", nthreads=nthreads,
                     entry_start=entry_start, row_start=row_start)
+
+
+_BUILDERS = {"1d": schedule_1d, "2d": schedule_2d, "merge": schedule_merge}
+
+
+def build_schedule(a: CSRMatrix, kind: str, nthreads: int) -> Schedule:
+    """The ``kind`` (``"1d"``, ``"2d"`` or ``"merge"``) schedule."""
+    if kind not in _BUILDERS:
+        raise ScheduleError(f"unknown kernel kind {kind!r}")
+    return _BUILDERS[kind](a, nthreads)

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ScheduleError
+from repro.generators import stencil_2d
 from repro.matrix.build import csr_from_dense
 from repro.matrix.csr import CSRMatrix
 from repro.spmv import spmv
+from repro.spmv.products import spmm
+from repro.spmv.schedule import get_schedule
 
 SEED = 20260808
 KINDS = ("1d", "2d", "merge")
@@ -41,6 +44,40 @@ def test_fully_empty_matrix(kind):
     a = csr_from_dense(np.zeros((5, 5)))
     y = spmv(a, np.ones(5), kind, 3)
     np.testing.assert_array_equal(y, np.zeros(5))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_entries_gives_float64_zeros(kind):
+    # np.bincount of an empty index array is int64 even with weights=;
+    # the kernels must cast, or y[row] += partial would truncate
+    a = csr_from_dense(np.zeros((4, 3)))
+    assert a.nnz == 0
+    y = spmv(a, np.ones(3), kind, 2)
+    assert y.dtype == np.float64
+    np.testing.assert_array_equal(y, np.zeros(4))
+    block = spmm(a, np.ones((3, 2)), kind, 2)
+    assert block.dtype == np.float64
+    np.testing.assert_array_equal(block, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("kind", ("2d", "merge"))
+def test_every_entry_a_boundary_entry(kind):
+    s = stencil_2d(4, seed=0)
+    # integer values keep every summation order exact
+    a = CSRMatrix(s.nrows, s.ncols, s.rowptr, s.colidx,
+                  np.arange(1.0, s.nnz + 1.0))
+    nthreads = a.nrows + a.nnz
+    schedule = get_schedule(a, kind, nthreads)
+    # no thread owns more than two entries, so none has an interior row
+    assert schedule.nnz_per_thread().max() <= 2
+    x = np.arange(1.0, a.ncols + 1.0)
+    y = spmv(a, x, kind, nthreads)
+    assert y.dtype == np.float64
+    np.testing.assert_array_equal(y, a.to_dense() @ x)
+    xb = np.stack([x, -2.0 * x], axis=1)
+    block = spmm(a, xb, kind, nthreads)
+    assert block.dtype == np.float64
+    np.testing.assert_array_equal(block, a.to_dense() @ xb)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -96,7 +133,9 @@ def test_finite_values_memo_does_not_leak_through_pickle():
 
     a = _zero_row_matrix()
     spmv(a, np.ones(a.ncols))                   # warms _cache_* memos
+    spmv(a, np.ones(a.ncols), "2d", 4)
     b = pickle.loads(pickle.dumps(a))
     assert not hasattr(b, "_cache_values_finite")
+    assert not hasattr(b, "_cache_boundary_spans")
     np.testing.assert_array_equal(spmv(b, np.ones(6)),
                                   spmv(a, np.ones(6)))
