@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from repro.analysis import geomean
-from repro.harness import OrderingCache, run_sweep
+from repro.harness import SweepEngine
 from repro.machine import PerfModel, get_architecture
 from repro.obs.perf import metric
 from repro.util import format_table
@@ -20,8 +20,9 @@ from repro.util import format_table
 
 def _sweep_geomeans(corpus, cache, model_factory):
     arch = get_architecture("Milan B")
-    sweep = run_sweep(corpus, [arch], ["RCM", "GP", "Gray"],
-                      cache=cache, model_factory=model_factory)
+    sweep = SweepEngine(corpus, [arch], ["RCM", "GP", "Gray"],
+                        cache=cache, model_factory=model_factory).run()
+    assert not sweep.failed, sweep.failed[0]
     out = {}
     for kernel in ("1d", "2d"):
         for o in ("RCM", "GP", "Gray"):

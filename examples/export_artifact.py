@@ -16,10 +16,9 @@ from pathlib import Path
 
 from repro.generators import build_corpus
 from repro.harness import (
-    OrderingCache,
+    SweepEngine,
     export_all_artifacts,
     read_artifact_file,
-    run_sweep,
 )
 from repro.harness.artifact import speedups_from_artifact
 from repro.harness.experiments import REORDERINGS
@@ -31,8 +30,7 @@ def main(out_dir: str) -> None:
     archs = [get_architecture(n) for n in ("Milan B", "Ice Lake")]
     print(f"sweeping {len(corpus)} matrices on "
           f"{', '.join(a.name for a in archs)} ...")
-    sweep = run_sweep(corpus, archs, list(REORDERINGS),
-                      cache=OrderingCache())
+    sweep = SweepEngine(corpus, archs, list(REORDERINGS)).run()
     paths = export_all_artifacts(sweep, corpus, archs, out_dir)
     for p in paths:
         print(f"wrote {p}")

@@ -11,11 +11,10 @@ Run:  python examples/mini_study.py
 
 from repro.generators import build_corpus
 from repro.harness import (
-    OrderingCache,
+    SweepEngine,
     experiment_speedups,
     render_boxplot_figure,
     render_geomean_table,
-    run_sweep,
     two_d_vs_one_d,
 )
 from repro.harness.experiments import REORDERINGS
@@ -30,8 +29,7 @@ def main() -> None:
     print(f"corpus: {len(corpus)} matrices, "
           f"{sum(e.nnz for e in corpus):,} total nonzeros")
     archs = [get_architecture(n) for n in ARCHS]
-    sweep = run_sweep(corpus, archs, list(REORDERINGS),
-                      cache=OrderingCache())
+    sweep = SweepEngine(corpus, archs, list(REORDERINGS)).run()
 
     for kernel, table_no, fig_no in (("1d", 3, 2), ("2d", 4, 3)):
         study = experiment_speedups(sweep, list(ARCHS), kernel)

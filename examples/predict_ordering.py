@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.advisor import Advisor, train_model
 from repro.generators import build_corpus
-from repro.harness import OrderingCache, run_sweep
+from repro.harness import OrderingCache, SweepEngine
 from repro.harness.experiments import REORDERINGS
 from repro.machine import get_architecture
 from repro.util import format_table
@@ -37,8 +37,7 @@ def main() -> None:
 
     # evaluate on held-out matrices: does the predicted ordering come
     # close to the best achievable speedup?
-    test_sweep = run_sweep(test, [arch], list(REORDERINGS),
-                           cache=OrderingCache())
+    test_sweep = SweepEngine(test, [arch], list(REORDERINGS)).run()
     rows = []
     regrets = []
     for entry in test:

@@ -8,7 +8,7 @@ winner, and the reordering wall-clock costs needed for the Table 5
 break-even logic.
 
 :func:`build_dataset` either replays an existing sweep or runs a fresh
-one through :func:`repro.harness.runner.run_sweep`; either way the
+one through :class:`repro.harness.engine.SweepEngine`; either way the
 permutations flow through the shared :class:`OrderingCache`, so the
 reordering pass is paid once per corpus.
 """
@@ -21,7 +21,8 @@ import numpy as np
 
 from ..analysis.classes import ClassificationInput, classify_matrix
 from ..errors import AdvisorError
-from ..harness.runner import OrderingCache, SweepResult, run_sweep
+from ..harness.engine import SweepEngine
+from ..harness.runner import OrderingCache, SweepResult
 from ..spmv.registry import resolve_workload
 from .featurize import assemble, matrix_features
 
@@ -85,9 +86,9 @@ def build_dataset(corpus: list, architectures: list, orderings=None,
     orderings = tuple(o for o in orderings if o != "original")
     cache = cache or OrderingCache()
     if sweep is None:
-        sweep = run_sweep(corpus, architectures, list(orderings),
-                          kernels=kernels, cache=cache, seed=seed,
-                          strict=False)
+        sweep = SweepEngine(corpus, architectures, list(orderings),
+                            kernels=kernels, cache=cache,
+                            seed=seed).run()
     rows = []
     for entry in corpus:
         a = entry.matrix

@@ -110,17 +110,17 @@ def check_artifacts(seed: int = 0, workdir: str | None = None) -> CheckReport:
         metrics = os.path.join(out, "check_metrics.json")
         manifest = os.path.join(out, "check_manifest.json")
         trace = os.path.join(out, "check_trace.json")
-        sidecar = trace + "l"
+        sidecar = trace_mod.sidecar_path(trace)
 
         was_enabled = trace_mod.TRACER.enabled
         engine = SweepEngine(corpus, archs, ["RCM", "Gray"],
                              seed=seed, journal_path=journal,
-                             manifest_path=manifest, trace=True)
+                             manifest_path=manifest)
         try:
-            # inline (jobs=1) spans record only while the global tracer
-            # is on — same contract as the sweep CLI; the sidecar gets
-            # every event the moment it finishes, so the link checks
-            # below also cover the crash-log path
+            # the engine records spans while the global tracer is on —
+            # same contract as the sweep CLI; the sidecar gets every
+            # event the moment it finishes, so the link checks below
+            # also cover the crash-log path
             trace_mod.TRACER.enable(jsonl_path=sidecar)
             engine.run()
             trace_mod.TRACER.save(trace)

@@ -1,17 +1,17 @@
 """Experiment harness: everything needed to regenerate the paper's
 tables and figures from the synthetic corpus and the machine model.
 
-* :mod:`.runner` — runs (matrix × ordering × architecture × kernel)
-  sweeps with a persistent ordering cache (permutations are expensive;
-  model evaluations are cheap).
-* :mod:`.engine` — the parallel, journaled, fault-tolerant sweep
-  executor behind :func:`~repro.harness.runner.run_sweep` and
-  ``python -m repro sweep``.
+* :mod:`.runner` — the persistent ordering cache (permutations are
+  expensive; model evaluations are cheap) and the :class:`SweepResult`
+  of a (matrix × ordering × architecture × kernel) sweep.
+* :mod:`.engine` — :class:`~repro.harness.engine.SweepEngine`, the
+  parallel, journaled, fault-tolerant sweep executor behind every
+  sweep, library and ``python -m repro sweep`` alike.
 * :mod:`.experiments` — one entry point per table/figure of the paper.
 * :mod:`.report` — plain-text rendering of the results.
 """
 
-from .runner import OrderingCache, SweepResult, run_sweep
+from .runner import OrderingCache, SweepResult
 from .engine import (
     FailedCell,
     SweepEngine,
@@ -43,7 +43,6 @@ from .report import (
 __all__ = [
     "OrderingCache",
     "SweepResult",
-    "run_sweep",
     "FailedCell",
     "SweepEngine",
     "SweepJournal",

@@ -5,8 +5,8 @@ Commands
 ``corpus``      list the synthetic corpus for a tier
 ``archs``       print the Table 2 machines
 ``reorder``     reorder a Matrix Market file and report feature changes
-``study``       run the speedup study (Figs 2/3, Tables 3/4) on a tier
 ``sweep``       run the parallel, resumable measurement sweep engine
+                (``--tables``: the Tables 3/4 geomeans, Figs 2/3 boxplots)
 ``advise``      learned, ranked ordering selection (repro.advisor)
 ``serve``       run the always-on advisor daemon (repro.serve)
 ``loadgen``     replay seeded zipf/bursty traffic at a daemon
@@ -152,42 +152,6 @@ def _cmd_advise(args) -> int:
     return 0
 
 
-def _cmd_study(args) -> int:
-    from ..machine import architecture_names as anames
-    from .experiments import REORDERINGS, experiment_speedups
-    from .report import render_boxplot_figure, render_geomean_table
-    from .runner import OrderingCache, run_sweep
-
-    from ..obs.profiler import maybe_profile
-
-    corpus = build_corpus(args.tier, seed=args.seed)
-    archs = [get_architecture(n)
-             for n in (args.archs.split(",") if args.archs else anames())]
-    # workload specs ride the sweep's kernel axis next to "1d"/"2d"
-    extra = tuple(w for w in getattr(args, "workloads", "").split(",")
-                  if w)
-    kernels = ("1d", "2d") + extra
-    with maybe_profile(args.profile):
-        sweep = run_sweep(corpus, archs, list(REORDERINGS),
-                          kernels=kernels,
-                          cache=OrderingCache(path=args.cache),
-                          jobs=args.jobs, journal_path=args.journal,
-                          resume=args.resume)
-    names = [a.name for a in archs]
-    labeled = [("1d", "Table 3: geomean 1D speedups"),
-               ("2d", "Table 4: geomean 2D speedups")]
-    labeled += [(w, f"geomean {w} workload speedups") for w in extra]
-    for kernel, title in labeled:
-        study = experiment_speedups(sweep, names, kernel)
-        print(render_geomean_table(study, names, title))
-        print()
-        if args.boxplots:
-            print(render_boxplot_figure(
-                study, names, f"speedup distribution ({kernel})"))
-            print()
-    return 0
-
-
 def _progress_printer(min_interval=0.5):
     """A throttled ``--progress`` heartbeat for the sweep engine.
 
@@ -228,11 +192,29 @@ def _progress_printer(min_interval=0.5):
     return cb
 
 
+#: ``sweep --tables`` titles of the paper's numbered tables; any other
+#: kernel or workload spec gets its own unnumbered geomean table
+_NUMBERED_TABLES = {"1d": "Table 3: geomean 1D speedups",
+                    "2d": "Table 4: geomean 2D speedups"}
+
+
+def _table_title(kernel: str) -> str:
+    from ..spmv.registry import is_workload_spec
+
+    if kernel in _NUMBERED_TABLES:
+        return _NUMBERED_TABLES[kernel]
+    if is_workload_spec(kernel):
+        return f"geomean {kernel} workload speedups"
+    return f"geomean {kernel.upper()} speedups"
+
+
 def _cmd_sweep(args) -> int:
+    from ..errors import HarnessError
     from ..util.timing import Timer
     from .engine import SweepEngine
     from .experiments import REORDERINGS, experiment_speedups
-    from .report import render_geomean_table, render_sweep_summary
+    from .report import (render_boxplot_figure, render_geomean_table,
+                         render_sweep_summary)
     from .runner import OrderingCache
 
     snapshot = None
@@ -256,10 +238,9 @@ def _cmd_sweep(args) -> int:
     kernels = tuple(args.kernels.split(","))
     if args.trace:
         # stream every finished span to a sidecar JSONL next to the
-        # final Chrome trace so a killed run still leaves evidence
-        jsonl = args.trace + "l" if args.trace.endswith(".json") \
-            else args.trace + ".jsonl"
-        obs_trace.enable(jsonl_path=jsonl)
+        # final Chrome trace so a killed run still leaves evidence;
+        # the engine (and its workers) record while the tracer is on
+        obs_trace.enable(jsonl_path=obs_trace.sidecar_path(args.trace))
     engine = SweepEngine(
         corpus, archs, orderings, kernels=kernels,
         cache=OrderingCache(path=args.cache),
@@ -267,13 +248,9 @@ def _cmd_sweep(args) -> int:
         resume=args.resume, timeout=args.timeout, retries=args.retries,
         shard_bytes=args.shard_bytes,
         snapshot=snapshot,
-        trace=bool(args.trace) or None,
         manifest_path=args.manifest or None,
         progress=_progress_printer() if args.progress else None)
-    from ..obs.profiler import maybe_profile
-
-    with maybe_profile(args.profile):
-        sweep = engine.run()
+    sweep = engine.run()
     engine.metrics.stages["generate"] = t_gen.elapsed
     if args.trace:
         nevents = obs_trace.TRACER.save(args.trace)
@@ -289,18 +266,20 @@ def _cmd_sweep(args) -> int:
     print(render_sweep_summary(engine.metrics, sweep.failed))
     if args.tables:
         names = [a.name for a in archs]
-        if sweep.failed or set(orderings) < set(REORDERINGS):
-            print("\n(geomean tables skipped: the sweep is incomplete "
-                  "or ran an ordering subset)")
-        else:
-            for kernel, tbl in (("1d", 3), ("2d", 4)):
-                if kernel not in kernels:
-                    continue
-                study = experiment_speedups(sweep, names, kernel)
+        try:
+            studies = [experiment_speedups(sweep, names, k) for k in kernels]
+        except HarnessError as exc:
+            log.error("sweep --tables: %s", exc)
+            return 1
+        for study in studies:
+            print()
+            print(render_geomean_table(study, names,
+                                       _table_title(study.kernel)))
+            if args.boxplots:
                 print()
-                print(render_geomean_table(
+                print(render_boxplot_figure(
                     study, names,
-                    f"Table {tbl}: geomean {kernel.upper()} speedups"))
+                    f"speedup distribution ({study.kernel})"))
     return 1 if (sweep.failed and args.strict) else 0
 
 
@@ -310,11 +289,11 @@ def _cmd_report(args) -> int:
     journal = args.journal or None
     manifest = args.manifest or None
     if args.check:
-        # default the sidecar to the path `sweep --trace` derives
-        # (trace.json -> trace.jsonl), when that file exists
+        # default the sidecar to the path `sweep --trace` derives,
+        # when that file exists
         sidecar = args.sidecar or None
-        if sidecar is None and args.trace and args.trace.endswith(".json"):
-            derived = args.trace + "l"
+        if sidecar is None and args.trace:
+            derived = obs_trace.sidecar_path(args.trace)
             if os.path.exists(derived):
                 sidecar = derived
         problems = check_artifacts(
@@ -459,40 +438,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "signature, package versions; empty string "
                         "disables)")
     p.add_argument("--tables", action="store_true",
-                   help="print the Table 3/4 geomeans afterwards")
+                   help="print one geomean table per --kernels entry "
+                        "afterwards (Table 3 for 1d, Table 4 for 2d); "
+                        "fails if the sweep is incomplete")
+    p.add_argument("--boxplots", action="store_true",
+                   help="with --tables, also print each table's "
+                        "speedup distributions (Figs 2/3)")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero if any cell failed")
     p.add_argument("--cache", default=None,
                    help="directory for the ordering cache")
-    p.add_argument("--profile", default=None, metavar="PATH",
-                   help="sample the run and write collapsed flamegraph "
-                        "stacks to PATH (profiles the main process; "
-                        "use --jobs 1 to see task internals)")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("study", help="run the speedup study")
-    p.add_argument("--tier", default="tiny",
-                   choices=("tiny", "small", "medium"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--archs", default="",
-                   help="comma-separated arch names (default: all 8)")
-    p.add_argument("--cache", default=None,
-                   help="directory for the ordering cache")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="sweep worker processes (1 = run inline)")
-    p.add_argument("--journal", default=None,
-                   help="JSONL checkpoint file for the sweep")
-    p.add_argument("--resume", action="store_true",
-                   help="skip cells already completed in --journal")
-    p.add_argument("--boxplots", action="store_true")
-    p.add_argument("--workloads", default="",
-                   help="comma-separated extra workload specs to sweep "
-                        "next to the plain kernels (e.g. cg,spgemm or "
-                        "jacobi:2d); each gets its own geomean table")
-    p.add_argument("--profile", default=None, metavar="PATH",
-                   help="sample the sweep and write collapsed "
-                        "flamegraph stacks to PATH")
-    p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser(
         "report",
@@ -509,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of slowest spans to list")
     p.add_argument("--sidecar", default="",
                    help="trace JSONL sidecar to validate with --check "
-                        "(default: <trace>l when it exists)")
+                        "(default: the one 'sweep --trace' writes, "
+                        "when it exists)")
     p.add_argument("--check", action="store_true",
                    help="validate the artifacts instead of rendering; "
                         "exit nonzero on any schema problem")

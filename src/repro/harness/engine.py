@@ -511,10 +511,17 @@ class SweepEngine:
 
     Parameters
     ----------
-    corpus, architectures, orderings, kernels, cache, model_factory,
-    seed:
-        As in :func:`repro.harness.runner.run_sweep` (which is now a
-        thin serial wrapper over this class).
+    corpus, architectures, orderings, kernels, seed:
+        The grid: corpus entries × architectures × ordering names (the
+        ``"original"`` baseline is always measured) × kernel kinds or
+        workload specs, with the orderings' seed.
+    cache:
+        The :class:`~repro.harness.runner.OrderingCache` an inline run
+        fills (a fresh in-memory one when ``None``); pool workers open
+        their own cache on its ``path``.
+    model_factory:
+        Optional ``arch -> PerfModel`` hook (ablations override this).
+        Must be picklable when ``jobs > 1``.
     jobs:
         Worker process count; ``1`` runs inline (no multiprocessing),
         which also preserves the caller's in-memory ``cache`` and
@@ -534,10 +541,6 @@ class SweepEngine:
     progress:
         Optional ``f(done, total, failed, elapsed)`` heartbeat callback,
         invoked as tasks complete.
-    trace:
-        Record spans for every stage of every cell (workers included).
-        ``None`` (default) inherits the global tracer's enabled state,
-        so ``repro.obs.enable()`` before ``run()`` is enough.
     manifest_path:
         Where to write the :class:`~repro.obs.manifest.RunManifest`.
         ``None`` disables it.
@@ -562,8 +565,7 @@ class SweepEngine:
                  model_factory=None, seed=0, jobs: int = 1,
                  journal_path: str | None = None, resume: bool = False,
                  timeout: float | None = None, retries: int = 0,
-                 progress=None, trace: bool | None = None,
-                 manifest_path: str | None = None,
+                 progress=None, manifest_path: str | None = None,
                  shard_bytes: int | None = None,
                  snapshot=None) -> None:
         if jobs < 1:
@@ -586,7 +588,6 @@ class SweepEngine:
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
-        self.trace = trace
         self.manifest_path = manifest_path
         self.shard_bytes = shard_bytes
         self.snapshot = snapshot
@@ -644,7 +645,9 @@ class SweepEngine:
         from .runner import OrderingCache, SweepResult
 
         t_start = time.perf_counter()
-        trace_on = (TRACER.enabled if self.trace is None else self.trace)
+        # spans of every stage of every cell, workers included, are
+        # recorded iff the global tracer is on when the run starts
+        trace_on = TRACER.enabled
         all_cells = self.cells()
         completed = self._load_checkpoint()
         # drop journal entries for cells not in this sweep's grid (the
@@ -694,7 +697,7 @@ class SweepEngine:
         # disjoint per-process lanes.
         root_span = None
         trace_ctx = None
-        if trace_on and TRACER.enabled:
+        if trace_on:
             trace_id = self.metrics.run_id or f"sweep-{new_span_id()}"
             set_trace_context(trace_id)
             root_span = TRACER.span(

@@ -58,25 +58,42 @@ class SpeedupStudy:
         return rows
 
 
-def experiment_speedups(sweep: SweepResult, architectures,
-                        kernel: str,
-                        allow_partial: bool = False) -> SpeedupStudy:
-    """Figures 2/3 + Tables 3/4 from a completed sweep.
+def _require_complete(sweep: SweepResult, architectures,
+                      kernel: str) -> None:
+    """Raise unless every swept matrix has every (ordering, arch) cell
+    of ``kernel``: a gap would silently shrink a distribution."""
+    if sweep.failed:
+        first = sweep.failed[0]
+        raise HarnessError(
+            f"{len(sweep.failed)} sweep cell(s) failed; first: "
+            f"{first.matrix}/{first.ordering}/{first.kernel}/"
+            f"{first.architecture} at {first.stage}: {first.error}: "
+            f"{first.message}")
+    if not sweep.records:
+        raise HarnessError("sweep holds no records")
+    have = {(r.matrix, r.ordering, r.kernel, r.architecture)
+            for r in sweep.records}
+    for m in sweep.matrices():
+        for o in ("original",) + REORDERINGS:
+            for arch in architectures:
+                if (m, o, kernel, arch) not in have:
+                    raise HarnessError(
+                        f"sweep holds no record for {m}/{o}/{kernel}/"
+                        f"{arch}")
 
-    ``allow_partial=True`` tolerates a fault-tolerant engine run whose
-    failed cells left some (arch, ordering) combinations without
-    records: those combinations are skipped instead of raising, and
-    per-matrix gaps shrink the distribution they belong to.
+
+def experiment_speedups(sweep: SweepResult, architectures,
+                        kernel: str) -> SpeedupStudy:
+    """Figures 2/3 + Tables 3/4 from a complete sweep.
+
+    Raises :class:`HarnessError` naming the first failed or missing
+    (matrix, ordering, kernel, arch) cell if the sweep is incomplete.
     """
+    _require_complete(sweep, architectures, kernel)
     study = SpeedupStudy(kernel=kernel)
     for arch in architectures:
         for o in REORDERINGS:
             sp = sweep.speedups(o, kernel, arch)
-            if sp.size == 0:
-                if allow_partial:
-                    continue
-                raise HarnessError(
-                    f"sweep holds no records for {o}/{kernel}/{arch}")
             study.raw[(arch, o)] = sp
             study.boxes[(arch, o)] = boxplot_summary(sp)
             study.geomeans[(arch, o)] = geomean(sp)

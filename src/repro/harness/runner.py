@@ -1,4 +1,4 @@
-"""Sweep runner with a persistent ordering cache.
+"""Sweep results and the persistent ordering cache.
 
 Computing an ordering is orders of magnitude more expensive than
 evaluating the performance model, and the same (matrix, ordering,
@@ -7,11 +7,9 @@ kernels.  :class:`OrderingCache` memoises permutations in memory and
 optionally on disk (``.npz`` per corpus), so a full 8-architecture
 sweep costs one ordering pass.
 
-Execution itself lives in :mod:`repro.harness.engine`:
-:func:`run_sweep` is a backwards-compatible wrapper over
-:class:`~repro.harness.engine.SweepEngine`, which adds process-pool
-fan-out, JSONL checkpointing with resume, per-cell timeouts with
-bounded retries, and a metrics artifact.
+Execution itself lives in :class:`~repro.harness.engine.SweepEngine`:
+process-pool fan-out, JSONL checkpointing with resume, per-cell
+timeouts with bounded retries, and a metrics artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import HarnessError
 from ..machine.bench import MeasurementRecord
 from ..matrix.csr import CSRMatrix
 from ..obs import cachestats
@@ -209,51 +206,3 @@ class SweepResult:
                 seen.append(r.matrix)
         return seen
 
-
-def run_sweep(corpus: list, architectures: list, orderings: list,
-              kernels: tuple = ("1d", "2d"), cache: OrderingCache | None = None,
-              model_factory=None, seed=0, jobs: int = 1,
-              journal_path: str | None = None, resume: bool = False,
-              timeout: float | None = None, retries: int = 0,
-              strict: bool = True, progress=None) -> SweepResult:
-    """Run the full measurement sweep through the sweep engine.
-
-    Parameters
-    ----------
-    corpus:
-        List of :class:`CorpusEntry`.
-    architectures:
-        List of :class:`Architecture` to model.
-    orderings:
-        Ordering names including or excluding ``"original"`` (the
-        baseline is always measured).
-    model_factory:
-        Optional ``arch -> PerfModel`` hook (ablations override this).
-        Must be picklable when ``jobs > 1``.
-    jobs, journal_path, resume, timeout, retries, progress:
-        Fan-out / checkpoint / fault-tolerance knobs, forwarded to
-        :class:`repro.harness.engine.SweepEngine`.
-    strict:
-        When True (the default, matching the historical serial runner)
-        any :class:`FailedCell` is escalated to a
-        :class:`~repro.errors.HarnessError` after the sweep finishes.
-        Pass ``strict=False`` to get the fault-tolerant behaviour: the
-        failures stay on ``SweepResult.failed`` and the records of
-        every other cell are returned.
-    """
-    from .engine import SweepEngine
-
-    engine = SweepEngine(
-        corpus, architectures, orderings, kernels=kernels, cache=cache,
-        model_factory=model_factory, seed=seed, jobs=jobs,
-        journal_path=journal_path, resume=resume, timeout=timeout,
-        retries=retries, progress=progress)
-    result = engine.run()
-    if strict and result.failed:
-        first = result.failed[0]
-        raise HarnessError(
-            f"{len(result.failed)} sweep cell(s) failed; first: "
-            f"{first.matrix}/{first.ordering}/{first.kernel}/"
-            f"{first.architecture} at {first.stage}: {first.error}: "
-            f"{first.message} (pass strict=False to tolerate failures)")
-    return result

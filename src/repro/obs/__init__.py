@@ -20,34 +20,30 @@ shares:
   benchmark ledger (``BENCH_<tier>.json`` history) and the
   :func:`compare_ledgers` regression gate behind
   ``repro perf record/compare/trend``.
-* :class:`SamplingProfiler` / :func:`maybe_profile` — the stdlib
-  ``signal.setitimer`` frame sampler behind ``repro profile`` and the
-  ``--profile`` flags; attributes self-time to the span tree and
-  emits collapsed flamegraph stacks.
+* :class:`SamplingProfiler` — the stdlib ``signal.setitimer`` frame
+  sampler behind ``repro profile <command>``; attributes self-time to
+  the span tree and emits collapsed flamegraph stacks.
 * :func:`get_logger` / :func:`setup_cli_logging` — the CLI logging
   setup (``--quiet`` / ``--verbose``).
 
 See ``docs/observability.md`` for naming conventions and workflows.
 """
 
-from .cachestats import (CACHE_STATS_KEYS, CacheStatCounters, cache_stats,
-                         sizeof_value)
+from .cachestats import CACHE_STATS_KEYS, cache_stats, sizeof_value
 from .log import get_logger, setup_cli_logging
 from .manifest import RunManifest, collect
 from .metrics import (REGISTRY, Counter, Gauge, Histogram, MetricsRegistry,
                       get_registry, log_buckets)
 from .perf import (BenchLedger, bench_record, compare_ledgers,
                    compare_records, metric, run_builtin_bench)
-from .profiler import ProfilerError, SamplingProfiler, maybe_profile
+from .profiler import ProfilerError, SamplingProfiler
 from .trace import TRACER, Tracer, disable, enable, is_enabled, span
 
 __all__ = [
-    "CACHE_STATS_KEYS", "CacheStatCounters", "cache_stats",
-    "sizeof_value", "get_logger", "setup_cli_logging", "RunManifest",
-    "collect", "REGISTRY", "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "get_registry", "log_buckets",
+    "CACHE_STATS_KEYS", "cache_stats", "sizeof_value", "get_logger",
+    "setup_cli_logging", "RunManifest", "collect", "REGISTRY", "Counter",
+    "Gauge", "Histogram", "MetricsRegistry", "get_registry", "log_buckets",
     "BenchLedger", "bench_record", "compare_ledgers", "compare_records",
     "metric", "run_builtin_bench", "ProfilerError", "SamplingProfiler",
-    "maybe_profile",
     "TRACER", "Tracer", "disable", "enable", "is_enabled", "span",
 ]

@@ -25,10 +25,9 @@ shared keys always exist with these meanings —
 from __future__ import annotations
 
 import sys
-import threading
 
-__all__ = ["CACHE_STATS_KEYS", "CacheStatCounters", "cache_stats",
-           "sizeof_value", "mapped_nbytes"]
+__all__ = ["CACHE_STATS_KEYS", "cache_stats", "sizeof_value",
+           "mapped_nbytes"]
 
 #: the keys every cache's ``stats`` mapping must expose.
 CACHE_STATS_KEYS = ("hits", "misses", "evictions", "hit_rate",
@@ -97,66 +96,3 @@ def sizeof_value(value) -> int:
         return sys.getsizeof(value)
     except TypeError:  # pragma: no cover - exotic objects
         return 0
-
-
-class CacheStatCounters:
-    """A thread-safe hit/miss/eviction/bytes bundle.
-
-    Caches embed one of these and surface ``.snapshot()`` (optionally
-    with extra keys) as their ``stats``.  ``delta`` and ``merge``
-    mirror the registry's shipping protocol so per-worker cache stats
-    aggregate the same way counters do.
-    """
-
-    __slots__ = ("_hits", "_misses", "_evictions", "_size_bytes", "_lock")
-
-    def __init__(self) -> None:
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._size_bytes = 0
-        self._lock = threading.Lock()
-
-    def hit(self, n: int = 1) -> None:
-        with self._lock:
-            self._hits += n
-
-    def miss(self, n: int = 1) -> None:
-        with self._lock:
-            self._misses += n
-
-    def evict(self, n: int = 1, freed_bytes: int = 0) -> None:
-        with self._lock:
-            self._evictions += n
-            self._size_bytes = max(0, self._size_bytes - freed_bytes)
-
-    def grow(self, added_bytes: int) -> None:
-        with self._lock:
-            self._size_bytes += added_bytes
-
-    def set_size_bytes(self, total: int) -> None:
-        with self._lock:
-            self._size_bytes = int(total)
-
-    def snapshot(self, **extra) -> dict:
-        with self._lock:
-            return cache_stats(self._hits, self._misses, self._evictions,
-                               self._size_bytes, **extra)
-
-    @staticmethod
-    def delta(after: dict, before: dict) -> dict:
-        """``after - before`` over the countable shared keys."""
-        d = {k: after.get(k, 0) - before.get(k, 0)
-             for k in ("hits", "misses", "evictions", "size_bytes",
-                       "mapped_bytes")}
-        return cache_stats(**d)
-
-    @staticmethod
-    def merge(into: dict, delta: dict, keys=None) -> dict:
-        """Accumulate a delta into a running stats dict (in place)."""
-        for k in keys or ("hits", "misses", "evictions", "size_bytes",
-                          "mapped_bytes"):
-            into[k] = into.get(k, 0) + delta.get(k, 0)
-        total = into.get("hits", 0) + into.get("misses", 0)
-        into["hit_rate"] = into.get("hits", 0) / total if total else 0.0
-        return into

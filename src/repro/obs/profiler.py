@@ -41,8 +41,7 @@ import time
 from . import trace as trace_mod
 from .log import get_logger
 
-__all__ = ["SamplingProfiler", "ProfilerError", "maybe_profile",
-           "add_profile_parser"]
+__all__ = ["SamplingProfiler", "ProfilerError", "add_profile_parser"]
 
 log = get_logger("profiler")
 
@@ -185,28 +184,6 @@ class SamplingProfiler:
                             table("self-time by span", self.span_times()),
                             table("self-time by function",
                                   self.self_times())])
-
-
-def maybe_profile(path: str | None, interval: float = 0.005,
-                  timer: str = "prof"):
-    """``with maybe_profile(args.profile): ...`` — a no-op when the
-    ``--profile PATH`` flag was not given, else a profiler whose
-    collapsed stacks land at ``path`` on exit."""
-    from contextlib import nullcontext
-
-    if not path:
-        return nullcontext()
-
-    class _Scoped(SamplingProfiler):
-        def __exit__(inner, *exc) -> bool:
-            SamplingProfiler.__exit__(inner, *exc)
-            n = inner.save(path)
-            log.info("wrote %s (%d stacks, %d samples; feed to "
-                     "flamegraph.pl or speedscope.app)", path, n,
-                     inner.samples)
-            return False
-
-    return _Scoped(interval=interval, timer=timer)
 
 
 # ----------------------------------------------------------------------

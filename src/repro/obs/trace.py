@@ -60,7 +60,7 @@ from contextlib import contextmanager
 __all__ = ["Tracer", "TRACER", "span", "enable", "disable", "is_enabled",
            "new_span_id", "current_span_stack", "set_trace_context",
            "get_trace_context", "clear_trace_context", "trace_context",
-           "track_stacks"]
+           "track_stacks", "sidecar_path"]
 
 #: schema constants for one Chrome complete event
 _REQUIRED_KEYS = ("name", "ph", "ts", "dur", "pid", "tid")
@@ -401,3 +401,12 @@ def disable() -> None:
 
 def is_enabled() -> bool:
     return TRACER.enabled
+
+
+def sidecar_path(trace_path: str) -> str:
+    """The crash-safe JSONL sidecar of a Chrome trace file:
+    ``run.json`` → ``run.jsonl``, any other name gets ``.jsonl``
+    appended (``run.trace`` → ``run.trace.jsonl``)."""
+    if trace_path.endswith(".json"):
+        return trace_path + "l"
+    return trace_path + ".jsonl"

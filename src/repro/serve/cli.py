@@ -51,7 +51,6 @@ def _cmd_serve(args) -> int:
     from ..advisor import Advisor
     from ..generators import build_corpus
     from ..obs import trace as obs_trace
-    from ..obs.profiler import maybe_profile
     from .daemon import AdvisorDaemon, ServeConfig
 
     corpus = build_corpus(args.tier, seed=args.seed)
@@ -67,9 +66,7 @@ def _cmd_serve(args) -> int:
         rate=args.rate if args.rate > 0 else None, burst=args.burst,
         drain_timeout=args.drain_timeout)
     if args.trace:
-        jsonl = args.trace + "l" if args.trace.endswith(".json") \
-            else args.trace + ".jsonl"
-        obs_trace.enable(jsonl_path=jsonl)
+        obs_trace.enable(jsonl_path=obs_trace.sidecar_path(args.trace))
 
     async def main() -> None:
         daemon = AdvisorDaemon(advisor, corpus, config)
@@ -81,10 +78,7 @@ def _cmd_serve(args) -> int:
               flush=True)
         await daemon.serve_forever()
 
-    # the daemon idles in the event loop, so profile wall clock —
-    # the CPU-time 'prof' timer would never tick between requests
-    with maybe_profile(args.profile, timer="real"):
-        asyncio.run(main())
+    asyncio.run(main())
     advisor.close()
     if args.trace:
         nevents = obs_trace.TRACER.save(args.trace)
@@ -191,9 +185,6 @@ def add_serve_parsers(sub) -> None:
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="record request/queue/advisor spans and write "
                         "a Chrome trace (plus .jsonl sidecar) on exit")
-    p.add_argument("--profile", default=None, metavar="PATH",
-                   help="sample the daemon (wall-clock timer) and "
-                        "write collapsed flamegraph stacks on exit")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -57,12 +57,12 @@ def test_trained_from_sweep():
     trained on a sweep picks from the orderings that sweep covered."""
     from repro.advisor import Advisor, train_model
     from repro.generators import build_corpus
-    from repro.harness import OrderingCache, run_sweep
+    from repro.harness import SweepEngine
     from repro.machine import get_architecture
 
     corpus = build_corpus("tiny", seed=3)[:5]
     rome = get_architecture("Rome")
-    sweep = run_sweep(corpus, [rome], ["RCM", "GP"], cache=OrderingCache())
+    sweep = SweepEngine(corpus, [rome], ["RCM", "GP"]).run()
     model = train_model(corpus=corpus, architectures=[rome],
                         orderings=["RCM", "GP"], kernels=("1d",),
                         sweep=sweep)

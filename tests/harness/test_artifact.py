@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import HarnessError
 from repro.generators import build_corpus
-from repro.harness import OrderingCache, run_sweep
+from repro.harness import SweepEngine
 from repro.harness.artifact import (
     ARTIFACT_ORDERINGS,
     artifact_filename,
@@ -27,8 +27,8 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def sweep(corpus):
-    return run_sweep(corpus, [get_architecture("Rome")],
-                     list(REORDERINGS), cache=OrderingCache())
+    return SweepEngine(corpus, [get_architecture("Rome")],
+                       list(REORDERINGS)).run()
 
 
 def test_filename_convention():

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from repro.generators import build_corpus
 from repro.harness.cli import main
 from repro.matrix import read_matrix_market, write_matrix_market
 
@@ -44,11 +45,34 @@ def test_reorder_rejects_unknown_ordering(mtx_file):
         main(["reorder", mtx_file, "QuickSort"])
 
 
-def test_study_command(capsys, tmp_path):
-    assert main(["study", "--tier", "tiny", "--archs", "Rome",
-                 "--cache", str(tmp_path / "cache")]) == 0
+def _sweep_args(tmp_path, *extra):
+    # the sweep writes its metrics and manifest to the working
+    # directory by default; keep them under tmp_path
+    return ["sweep", "--tier", "tiny", "--limit", "4", "--archs", "Rome",
+            "--cache", str(tmp_path / "cache"),
+            "--metrics", str(tmp_path / "sweep_metrics.json"),
+            "--manifest", str(tmp_path / "run_manifest.json"), *extra]
+
+
+def test_sweep_tables_command(capsys, tmp_path):
+    assert main(_sweep_args(tmp_path, "--kernels", "1d,2d,cg",
+                            "--tables", "--boxplots")) == 0
     out = capsys.readouterr().out
-    assert "Table 3" in out and "Table 4" in out
+    titles = ["Table 3: geomean 1D speedups",
+              "Table 4: geomean 2D speedups",
+              "geomean cg workload speedups"]
+    boxes = [f"speedup distribution ({k})" for k in ("1d", "2d", "cg")]
+    at = [out.index(t) for pair in zip(titles, boxes) for t in pair]
+    assert at == sorted(at)  # each table followed by its boxplots
+
+
+def test_sweep_tables_refuse_an_incomplete_sweep(capsys, tmp_path):
+    assert main(_sweep_args(tmp_path, "--orderings", "RCM,Gray",
+                            "--tables")) == 1
+    captured = capsys.readouterr()
+    assert "Table 3" not in captured.out
+    first = build_corpus("tiny", seed=0)[0].name
+    assert f"no record for {first}/ND/1d/Rome" in captured.err
 
 
 def test_missing_command_rejected():

@@ -20,7 +20,7 @@ from repro.harness import (
     OrderingCache,
     SweepEngine,
     SweepJournal,
-    run_sweep,
+    experiment_speedups,
 )
 from repro.machine import get_architecture
 from repro.reorder import registry
@@ -43,13 +43,13 @@ def _run(corpus, archs, journal=None, resume=False, **kw):
 
 
 # ----------------------------------------------------------------------
-# equivalence with the legacy serial runner
+# equivalence: given vs default cache, inline vs pool
 # ----------------------------------------------------------------------
-def test_engine_matches_run_sweep(tiny_corpus, rome):
-    legacy = run_sweep(tiny_corpus, rome, ["RCM", "Gray"],
-                       cache=OrderingCache())
-    _, engine = _run(tiny_corpus, rome)
-    assert legacy.records == engine.records
+def test_given_cache_records_match_default_cache(tiny_corpus, rome):
+    given = SweepEngine(tiny_corpus, rome, ["RCM", "Gray"],
+                        cache=OrderingCache()).run()
+    _, default = _run(tiny_corpus, rome)
+    assert given.records == default.records
 
 
 def test_parallel_records_identical_to_serial(tiny_corpus, rome):
@@ -256,13 +256,16 @@ def test_failed_cells_are_journaled_and_retried_on_resume(
     assert eng2.metrics.cells["resumed"] == 2 * (1 + 1) * 2  # ok cells
 
 
-def test_strict_run_sweep_escalates_failures(
+def test_speedups_raise_on_a_sweep_with_an_exploding_ordering(
         tiny_corpus, rome, exploding_ordering):
-    with pytest.raises(HarnessError, match="injected failure"):
-        run_sweep(tiny_corpus[:1], rome, [exploding_ordering])
-    result = run_sweep(tiny_corpus[:1], rome, [exploding_ordering],
-                       strict=False)
-    assert len(result.failed) == 2
+    result = SweepEngine(tiny_corpus[:1], rome,
+                         [exploding_ordering]).run()
+    assert len(result.failed) == 2  # the engine itself never raises
+    name = tiny_corpus[0].name
+    with pytest.raises(HarnessError,
+                       match=f"first: {name}/Boom/1d/Rome .*"
+                             "injected failure"):
+        experiment_speedups(result, ["Rome"], "1d")
 
 
 # ----------------------------------------------------------------------
@@ -359,11 +362,13 @@ def test_metrics_report_model_stat_reuse(tmp_path):
 
 
 def test_gp_grouping_keeps_per_arch_permutations(tiny_corpus):
-    """GP permutations depend on the architecture's core count; the
-    ordering-outer loop must still produce the same records as the
-    legacy arch-outer serial runner."""
+    """GP permutations depend on the architecture's core count; one
+    task per matrix sharing a cache across both archs must produce the
+    same records as sweeping each arch on its own."""
     archs = [get_architecture(n) for n in ("Rome", "Milan B")]
-    legacy = run_sweep(tiny_corpus[:2], archs, ["GP"],
-                       cache=OrderingCache())
-    engine = SweepEngine(tiny_corpus[:2], archs, ["GP"])
-    assert engine.run().records == legacy.records
+    assert archs[0].gp_parts != archs[1].gp_parts
+    alone = [rec for arch in archs
+             for rec in SweepEngine(tiny_corpus[:2], [arch], ["GP"],
+                                    cache=OrderingCache()).run().records]
+    both = SweepEngine(tiny_corpus[:2], archs, ["GP"]).run()
+    assert both.records == alone

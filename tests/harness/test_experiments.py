@@ -4,16 +4,18 @@ corpus and produces sanely-shaped output."""
 import numpy as np
 import pytest
 
+from repro.errors import HarnessError
 from repro.generators import build_corpus
 from repro.harness import (
     OrderingCache,
+    SweepEngine,
+    SweepResult,
     dense_reference_experiment,
     experiment_cholesky_fill,
     experiment_feature_profiles,
     experiment_fig1_showcase,
     experiment_overhead,
     experiment_speedups,
-    run_sweep,
     two_d_vs_one_d,
 )
 from repro.harness.experiments import (
@@ -37,7 +39,7 @@ def cache():
 @pytest.fixture(scope="module")
 def sweep(corpus, cache):
     archs = [get_architecture(n) for n in ("Rome", "Milan B")]
-    return run_sweep(corpus, archs, list(REORDERINGS), cache=cache)
+    return SweepEngine(corpus, archs, list(REORDERINGS), cache=cache).run()
 
 
 def test_speedup_study_shapes(sweep):
@@ -47,6 +49,19 @@ def test_speedup_study_shapes(sweep):
     table = study.geomean_table(["Rome", "Milan B"], list(REORDERINGS))
     assert len(table) == 3  # 2 archs + mean row
     assert table[-1][0] == "Mean"
+
+
+@pytest.mark.parametrize("ordering", ["original", "HP"])
+def test_speedups_raise_naming_a_missing_cell(sweep, corpus, ordering):
+    # a gap must not silently shrink one arch's distribution
+    cell = (corpus[2].name, ordering, "1d", "Milan B")
+    partial = SweepResult(records=[
+        r for r in sweep.records
+        if (r.matrix, r.ordering, r.kernel, r.architecture) != cell])
+    with pytest.raises(HarnessError, match="/".join(cell)):
+        experiment_speedups(partial, ["Rome", "Milan B"], "1d")
+    # the other kernel is complete and still tabulates
+    experiment_speedups(partial, ["Rome", "Milan B"], "2d")
 
 
 def test_speedups_positive(sweep):

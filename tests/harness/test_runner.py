@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.generators import build_corpus
-from repro.harness import OrderingCache, run_sweep
+from repro.harness import OrderingCache, SweepEngine
 from repro.machine import get_architecture
 
 
@@ -14,8 +14,7 @@ def tiny_corpus():
 @pytest.fixture(scope="module")
 def small_sweep(tiny_corpus):
     archs = [get_architecture("Rome")]
-    return run_sweep(tiny_corpus, archs, ["RCM", "Gray"],
-                     cache=OrderingCache())
+    return SweepEngine(tiny_corpus, archs, ["RCM", "Gray"]).run()
 
 
 def test_sweep_record_count(small_sweep, tiny_corpus):
@@ -80,8 +79,8 @@ def test_model_factory_hook(tiny_corpus):
         calls.append(arch.name)
         return PerfModel(arch, locality_term=False)
 
-    run_sweep(tiny_corpus[:1], [get_architecture("Rome")], ["Gray"],
-              model_factory=factory)
+    SweepEngine(tiny_corpus[:1], [get_architecture("Rome")], ["Gray"],
+                model_factory=factory).run()
     assert calls == ["Rome"]
 
 

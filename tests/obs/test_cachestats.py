@@ -5,7 +5,6 @@ import pytest
 
 from repro.obs.cachestats import (
     CACHE_STATS_KEYS,
-    CacheStatCounters,
     cache_stats,
     mapped_nbytes,
     sizeof_value,
@@ -49,31 +48,6 @@ def test_mapped_nbytes_walks_base_chain(tmp_path):
     view = mm[4:]
     assert isinstance(view, np.ndarray)
     assert mapped_nbytes(view) == view.nbytes
-
-
-def test_delta_and_merge_carry_mapped_bytes():
-    before = cache_stats(mapped_bytes=100)
-    after = cache_stats(hits=1, mapped_bytes=250)
-    delta = CacheStatCounters.delta(after, before)
-    assert delta["mapped_bytes"] == 150
-    agg = cache_stats(mapped_bytes=10)
-    CacheStatCounters.merge(agg, delta)
-    assert agg["mapped_bytes"] == 160
-
-
-def test_cache_stat_counters_delta_and_merge():
-    c = CacheStatCounters()
-    c.miss()
-    c.grow(100)
-    before = c.snapshot()
-    c.hit(3)
-    c.evict(freed_bytes=40)
-    delta = CacheStatCounters.delta(c.snapshot(), before)
-    assert delta["hits"] == 3 and delta["misses"] == 0
-    assert delta["evictions"] == 1 and delta["size_bytes"] == -40
-    agg = cache_stats(hits=1, misses=1)
-    CacheStatCounters.merge(agg, delta)
-    assert agg["hits"] == 4 and agg["hit_rate"] == pytest.approx(0.8)
 
 
 # ----------------------------------------------------------------------

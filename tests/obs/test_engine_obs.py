@@ -77,8 +77,8 @@ def test_worker_death_mid_chunk_loses_nothing(tmp_path):
     sentinel = str(tmp_path / "killed-once")
     engine = SweepEngine(build_corpus("tiny", seed=0)[:3], archs,
                          ["RCM", "Gray"], jobs=2, retries=1,
-                         model_factory=KillOnceFactory(sentinel),
-                         trace=True)
+                         model_factory=KillOnceFactory(sentinel))
+    obs_trace.enable()  # the clean_global_tracer fixture restores it
     result = engine.run()
 
     assert os.path.exists(sentinel), "the poisoned worker never fired"
@@ -114,8 +114,9 @@ def test_tasks_that_keep_killing_workers_fail_structurally():
 def test_traced_parallel_sweep_produces_per_worker_lanes(tmp_path):
     corpus = build_corpus("tiny", seed=0)[:4]
     engine = SweepEngine(corpus, [get_architecture("Rome")],
-                         ["RCM", "Gray"], jobs=2, trace=True,
+                         ["RCM", "Gray"], jobs=2,
                          manifest_path=str(tmp_path / "run_manifest.json"))
+    obs_trace.enable()  # the clean_global_tracer fixture restores it
     result = engine.run()
     assert result.failed == []
     events = obs_trace.TRACER.events()
@@ -123,8 +124,10 @@ def test_traced_parallel_sweep_produces_per_worker_lanes(tmp_path):
     names = {ev["name"] for ev in events}
     assert names >= {"sweep.task", "reorder", "ordering.compute",
                      "reuse_stats", "model_eval"}
-    # worker pids differ from the parent: distinct Perfetto lanes
-    assert os.getpid() not in {ev["pid"] for ev in events}
+    # the work runs under worker pids, so each worker is its own
+    # Perfetto lane; the parent records only the sweep.run root
+    assert {ev["name"] for ev in events
+            if ev["pid"] == os.getpid()} == {"sweep.run"}
     # the manifest points back at this run
     man_path = tmp_path / "run_manifest.json"
     assert man_path.exists()
@@ -134,6 +137,26 @@ def test_traced_parallel_sweep_produces_per_worker_lanes(tmp_path):
     assert man["run_id"] == engine.metrics.run_id
     assert man["config"]["jobs"] == 2 and man["config"]["trace"] is True
     assert man["signature"]["corpus"] == [e.name for e in corpus]
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_span_count_is_the_same_inline_and_in_the_pool(tracing):
+    # spans follow the global tracer at run(), in the engine and in
+    # its workers alike
+    corpus = build_corpus("tiny", seed=0)[:2]
+    counts = []
+    for jobs in (1, 2):
+        if tracing:
+            obs_trace.enable()
+        engine = SweepEngine(corpus, [get_architecture("Rome")], ["RCM"],
+                             jobs=jobs)
+        engine.run()
+        counts.append(sum(ev["name"] == "model_eval"
+                          for ev in obs_trace.TRACER.events()))
+        obs_trace.disable()
+        obs_trace.TRACER.clear()
+    expected = engine.metrics.cells["total"] if tracing else 0
+    assert counts == [expected, expected]
 
 
 def test_sweep_metrics_is_a_view_over_the_registry(tmp_path):

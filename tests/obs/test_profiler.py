@@ -10,8 +10,7 @@ import pytest
 
 from repro.harness.cli import main
 from repro.obs import trace as trace_mod
-from repro.obs.profiler import (ProfilerError, SamplingProfiler,
-                                maybe_profile)
+from repro.obs.profiler import ProfilerError, SamplingProfiler
 
 
 @pytest.fixture(autouse=True)
@@ -108,15 +107,6 @@ def test_timer_and_handler_restored_on_exit():
         _burn(0.05)
     assert signal.getsignal(signal.SIGPROF) == before
     assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
-
-
-def test_maybe_profile_noop_and_scoped(tmp_path):
-    with maybe_profile(None):
-        pass  # plain nullcontext — nothing written anywhere
-    out = tmp_path / "scoped.collapsed"
-    with maybe_profile(str(out), interval=0.002):
-        _burn(0.2)
-    assert out.exists() and out.read_text().strip()
 
 
 @pytest.mark.slow

@@ -102,3 +102,18 @@ def test_quiet_silences_status_but_not_data(traced_run, capsys):
     captured = capsys.readouterr()
     assert "per-stage breakdown" in captured.out
     assert captured.err == ""
+
+
+def test_report_check_finds_the_sidecar_of_a_non_json_trace(
+        tmp_path, capsys):
+    trace = str(tmp_path / "run.trace")
+    assert main(["sweep", "--tier", "tiny", "--limit", "1",
+                 "--archs", "Rome", "--orderings", "RCM",
+                 "--trace", trace, "--manifest", "",
+                 "--metrics", ""]) == 0
+    assert (tmp_path / "run.trace.jsonl").exists()
+    capsys.readouterr()
+    assert main(["report", "--check", "--trace", trace,
+                 "--manifest", ""]) == 0
+    out = capsys.readouterr().out
+    assert f"(sidecar {trace}.jsonl consistent)" in out
