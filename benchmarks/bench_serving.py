@@ -18,7 +18,7 @@ against it.  The hard gates are **deterministic**:
 Throughput is also gated, but against a *conservative* floor (CI
 machines are noisy): the tiny-tier daemon sustains well over 1000
 requests/s locally, so a floor of 50/s only catches pathological
-regressions (e.g. the batcher serialising on the linger timer).
+regressions (e.g. the batcher serialising on a timer or a lock).
 
 Client-side latency percentiles and the server SLO snapshot land in
 ``benchmarks/output/<tier>/bench_serving.json``.
@@ -53,8 +53,7 @@ def test_daemon_batches_and_answers_bit_identically(emit, emit_json):
     advisor = Advisor(model, workers=2)
     trace = generate_trace([e.name for e in corpus], n=REQUESTS,
                            seed=SEED, rate=RATE)
-    config = ServeConfig(port=0, rate=None, max_batch=32,
-                         linger_ms=5.0)
+    config = ServeConfig(port=0, rate=None, max_batch=32)
     try:
         with start_in_thread(advisor, corpus, config) as handle:
             report = replay(trace, port=handle.port, arch=ARCH_NAME)

@@ -12,8 +12,9 @@ behind two LRU caches so repeated questions cost a dict lookup:
 
 ``advise`` answers one request with a ranked list of
 :class:`repro.advisor.model.Advice`; ``advise_many`` fans feature
-extraction for a batch of matrices out over a reusable thread pool
-owned by the instance (NumPy releases the GIL in the hot reductions).
+extraction for a batch of two or more matrices out over a reusable
+thread pool owned by the instance (NumPy releases the GIL in the hot
+reductions).
 The serving daemon (:mod:`repro.serve`) shares one warm ``Advisor``
 across every client and sizes the pool via the ``workers`` knob;
 ``close()`` releases the pool when the advisor retires.
@@ -117,12 +118,14 @@ class Advisor:
         distinct matrices runs in parallel on the instance's reusable
         pool (sized by the ``workers`` constructor knob); passing
         ``max_workers`` forces a one-off pool of that size instead.
+        A single matrix is advised on the caller's thread: a pool
+        buys no parallelism for one item, only a thread hop.
 
         ``trace_ctxs`` optionally aligns a ``(trace_id, parent_id)``
         tuple (or ``None``) with each matrix; the serving daemon passes
-        each request's ids so the ``advisor.request`` span recorded on
-        the pool thread parents to that request's span rather than
-        floating free.
+        each request's ids so the ``advisor.request`` span parents to
+        that request's span rather than floating free, on whichever
+        thread advises it.
         """
         mats = []
         labels = []
@@ -150,6 +153,8 @@ class Advisor:
                                iterations=iterations,
                                workload=workload)
 
+        if len(mats) == 1:
+            return [one(0)]
         if max_workers is not None:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
                 return list(pool.map(one, range(len(mats))))

@@ -69,7 +69,7 @@ def _check_replay(report: CheckReport, corpus, arch, model,
                            rate=TRACE_RATE)
     advisor = Advisor(model, workers=2)
     config = ServeConfig(port=0, rate=None, max_batch=16,
-                         linger_ms=5.0, drain_timeout=1.0)
+                         drain_timeout=1.0)
     try:
         with start_in_thread(advisor, corpus, config) as handle:
             result = replay(trace, port=handle.port, arch=arch.name,

@@ -13,8 +13,8 @@ histogram, queue wait, shed counts) through :mod:`repro.obs`.
 Layers (each its own module):
 
 * :mod:`.protocol`  — JSON-over-HTTP request/response shapes
-* :mod:`.batching`  — the bounded micro-batching queue (max batch +
-  max linger)
+* :mod:`.batching`  — the micro-batching queue (batches form from
+  back-pressure, capped at max batch)
 * :mod:`.admission` — per-client token buckets + queue-depth shedding
 * :mod:`.daemon`    — the asyncio HTTP server, lifecycle (SIGTERM
   drain), ``/healthz`` + ``/metricsz``

@@ -143,8 +143,8 @@ class AdmissionController:
                     retry_after_ms=bucket.retry_after_s() * 1e3)
         if queue_depth >= self.max_queue_depth:
             _SHED_QUEUE.inc()
-            # the queue drains at the service rate; one linger window
-            # is the honest lower bound a client should wait
+            # the queue drains one batch per flush at the service
+            # rate; a fixed 50 ms is a conservative wait before retry
             return Rejection(reason="queue_full", http_status=429,
                              retry_after_ms=50.0)
         return None

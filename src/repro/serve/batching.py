@@ -5,16 +5,17 @@ advise_many`) amortizes thread-pool dispatch and shares cache locality
 across a whole batch — but network clients arrive one request at a
 time.  :class:`MicroBatcher` bridges the two: requests enqueue with a
 future, a single drain loop collects them into batches bounded by
-**max_batch** (size) and **max_linger_ms** (added latency), and each
-batch is handed to an async ``flush`` callback whose results resolve
-the futures in order.
+**max_batch**, and each batch is handed to an async ``flush`` callback
+whose results resolve the futures in order.
 
-The linger bound is the serving trade the whole subsystem is built
-around: a request waits at most ``max_linger_ms`` for company, so
-batching can only add a fixed, configured latency — under light load
-batches degenerate to size 1 and the daemon behaves like the direct
-library call; under load the queue fills while the previous batch is
-in flight and batches grow toward ``max_batch`` with *no* added wait.
+Batches form from back-pressure alone, never from a timer: a batch is
+the request at the head of the queue plus whatever is already queued
+behind it (up to ``max_batch``), flushed at once.  Requests that
+arrive while a batch is in flight queue up and become the next batch.
+So a request never waits for company — under light load batches are
+size 1 and the daemon behaves like the direct library call; under load
+the queue fills while the previous batch is in flight and batches grow
+toward ``max_batch`` with no added wait.
 
 Observability: every batch feeds the ``serve.batch_size`` histogram
 and every request's queue wait feeds ``serve.queue_wait_seconds`` —
@@ -59,21 +60,13 @@ class MicroBatcher:
         batcher itself.
     max_batch:
         Largest batch handed to ``flush``.
-    max_linger_ms:
-        Longest a request waits for companions once it is at the head
-        of an unfilled batch.
     """
 
-    def __init__(self, flush, max_batch: int = 32,
-                 max_linger_ms: float = 5.0) -> None:
+    def __init__(self, flush, max_batch: int = 32) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_linger_ms < 0:
-            raise ValueError(
-                f"max_linger_ms must be >= 0, got {max_linger_ms}")
         self._flush = flush
         self.max_batch = int(max_batch)
-        self.linger_s = float(max_linger_ms) / 1e3
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: asyncio.Task | None = None
         self._closed = False
@@ -118,45 +111,20 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     async def _drain_loop(self) -> None:
-        loop = asyncio.get_running_loop()
+        # close() marks the batcher closed before it enqueues _STOP, so
+        # _STOP is always the last item: everything ahead of it is
+        # still flushed, in max_batch chunks
         while True:
-            head = await self._queue.get()
-            if head is _STOP:
-                return
-            batch = [head]
-            stop = False
-            deadline = loop.time() + self.linger_s
-            while len(batch) < self.max_batch and not stop:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    # linger expired: take whatever is already waiting
-                    while len(batch) < self.max_batch \
-                            and not self._queue.empty():
-                        item = self._queue.get_nowait()
-                        if item is _STOP:
-                            stop = True
-                            break
-                        batch.append(item)
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(),
-                                                  timeout)
-                except asyncio.TimeoutError:
-                    break
-                if item is _STOP:
-                    stop = True
-                    break
+            batch = []
+            item = await self._queue.get()
+            while item is not _STOP:
                 batch.append(item)
-            await self._run_batch(batch)
-            if stop:
-                # flush whatever arrived before close() won the race
-                tail = []
-                while not self._queue.empty():
-                    item = self._queue.get_nowait()
-                    if item is not _STOP:
-                        tail.append(item)
-                for i in range(0, len(tail), self.max_batch):
-                    await self._run_batch(tail[i:i + self.max_batch])
+                if len(batch) == self.max_batch or self._queue.empty():
+                    break
+                item = self._queue.get_nowait()
+            if batch:
+                await self._run_batch(batch)
+            if item is _STOP:
                 return
 
     async def _run_batch(self, batch: list) -> None:

@@ -61,8 +61,7 @@ def _cmd_serve(args) -> int:
                       workers=args.workers)
     config = ServeConfig(
         host=args.host, port=args.port, default_arch=args.arch,
-        max_batch=args.max_batch, linger_ms=args.linger_ms,
-        queue_depth=args.queue_depth,
+        max_batch=args.max_batch, queue_depth=args.queue_depth,
         rate=args.rate if args.rate > 0 else None, burst=args.burst,
         drain_timeout=args.drain_timeout)
     if args.trace:
@@ -169,9 +168,6 @@ def add_serve_parsers(sub) -> None:
                         "feature extraction")
     p.add_argument("--max-batch", type=int, default=32,
                    help="largest micro-batch handed to advise_many")
-    p.add_argument("--linger-ms", type=float, default=5.0,
-                   help="max milliseconds a request waits to be "
-                        "batched")
     p.add_argument("--queue-depth", type=int, default=128,
                    help="queued requests beyond this are shed (429)")
     p.add_argument("--rate", type=float, default=50.0,

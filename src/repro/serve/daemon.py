@@ -58,8 +58,13 @@ _SHED_DRAIN = REGISTRY.counter("serve.shed.draining")
 _LATENCY = REGISTRY.histogram("serve.request_seconds")
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                405: "Method Not Allowed", 429: "Too Many Requests",
-                500: "Internal Server Error", 503: "Service Unavailable"}
+                405: "Method Not Allowed", 413: "Content Too Large",
+                429: "Too Many Requests", 500: "Internal Server Error",
+                503: "Service Unavailable"}
+
+#: largest request body the daemon reads; an /advise body is well
+#: under 1 KiB, so anything bigger is refused before it is read
+MAX_BODY_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class ServeConfig:
     port: int = 0                  # 0 = pick a free port
     default_arch: str = "Milan B"  # for requests that omit "arch"
     max_batch: int = 32
-    linger_ms: float = 5.0
     queue_depth: int = 128         # admission shed threshold
     rate: float | None = 50.0      # per-client tokens/second
     burst: float = 20.0            # per-client bucket capacity
@@ -91,8 +95,7 @@ class AdvisorDaemon:
             rate=self.config.rate, burst=self.config.burst,
             max_queue_depth=self.config.queue_depth)
         self.batcher = MicroBatcher(self._flush,
-                                    max_batch=self.config.max_batch,
-                                    max_linger_ms=self.config.linger_ms)
+                                    max_batch=self.config.max_batch)
         self._server: asyncio.Server | None = None
         self._conn_tasks: set = set()
         self._draining = False
@@ -114,9 +117,9 @@ class AdvisorDaemon:
         self._started_at = time.monotonic()
         self._baseline = REGISTRY.snapshot()
         log.info("advisor daemon listening on %s:%d "
-                 "(%d matrices, max_batch=%d, linger=%.1fms)",
+                 "(%d matrices, max_batch=%d)",
                  self.config.host, self.port, len(self.entries),
-                 self.config.max_batch, self.config.linger_ms)
+                 self.config.max_batch)
 
     @property
     def port(self) -> int:
@@ -190,8 +193,8 @@ class AdvisorDaemon:
         Requests in one micro-batch may target different architectures
         or kernels; group them so each group rides one
         ``advise_many`` call, and run the whole (CPU-bound, GIL-
-        releasing) evaluation in the advisor's executor so the event
-        loop keeps accepting requests meanwhile.
+        releasing) evaluation on the loop's default executor so the
+        event loop keeps accepting requests meanwhile.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self._advise_batch,
@@ -394,7 +397,23 @@ class AdvisorDaemon:
                         break
                     key, _, value = line.decode("latin1").partition(":")
                     headers[key.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
+                raw_length = headers.get("content-length") or "0"
+                # ASCII digits only: int() also takes "-5", "+5", "1_0"
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    await self._respond(
+                        writer, 400,
+                        error_body(None, 400, "bad_request",
+                                   f"malformed Content-Length "
+                                   f"{raw_length!r}"))
+                    break
+                length = int(raw_length)
+                if length > MAX_BODY_BYTES:
+                    await self._respond(
+                        writer, 413,
+                        error_body(None, 413, "payload_too_large",
+                                   f"body of {length} bytes exceeds "
+                                   f"{MAX_BODY_BYTES}"))
+                    break
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = headers.get(
                     "connection", "keep-alive").lower() != "close"

@@ -57,6 +57,20 @@ def test_advise_many_matches_single_requests(advisor, corpus, arch):
                                         matrix_name=e.name)
 
 
+def test_advise_many_single_matrix_runs_on_caller_thread(model, corpus,
+                                                         arch):
+    """One matrix is advised inline: same answer as advise(), and no
+    pool is created for it."""
+    e = corpus[0]
+    reference = Advisor(model).advise(e.matrix, arch, "2d",
+                                      matrix_name=e.name)
+    with Advisor(model, workers=2) as advisor:
+        assert advisor.advise_many([e], arch, "2d") == [reference]
+        assert advisor.advise_many([e], arch, "2d",
+                                   max_workers=4) == [reference]
+        assert advisor._pool is None
+
+
 def test_advise_many_accepts_bare_matrices(advisor, corpus, arch):
     mats = [e.matrix for e in corpus[:2]]
     names = [e.name for e in corpus[:2]]

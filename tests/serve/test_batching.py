@@ -27,7 +27,7 @@ def test_concurrent_submits_coalesce_into_one_batch():
         return payloads
 
     async def main():
-        batcher = MicroBatcher(flush, max_batch=16, max_linger_ms=50.0)
+        batcher = MicroBatcher(flush, max_batch=16)
         batcher.start()
         results = await asyncio.gather(
             *(batcher.submit(i) for i in range(10)))
@@ -42,40 +42,82 @@ def test_concurrent_submits_coalesce_into_one_batch():
 
 
 def test_max_batch_splits_oversized_bursts():
-    sizes = []
+    """A backlog drains in max_batch chunks, oldest first."""
+    batches = []
 
     async def flush(payloads):
-        sizes.append(len(payloads))
+        batches.append(list(payloads))
         return payloads
 
     async def main():
-        batcher = MicroBatcher(flush, max_batch=4, max_linger_ms=50.0)
+        batcher = MicroBatcher(flush, max_batch=4)
         batcher.start()
         await asyncio.gather(*(batcher.submit(i) for i in range(10)))
         await batcher.close()
 
     run(main())
-    assert sum(sizes) == 10
-    assert max(sizes) <= 4
+    assert batches == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
 
 
-def test_linger_bounds_added_latency():
-    """A lone request is flushed after ~linger, not held forever."""
+def test_lone_request_is_flushed_without_waiting():
+    """No timer: a lone request reaches flush within a few event-loop
+    yields, with no wall-clock wait for companions."""
+    batches = []
+
+    async def flush(payloads):
+        batches.append(list(payloads))
+        return payloads
 
     async def main():
-        batcher = MicroBatcher(_echo_flush, max_batch=64,
-                               max_linger_ms=20.0)
+        batcher = MicroBatcher(flush, max_batch=64)
         batcher.start()
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        result, size = await batcher.submit("solo")
-        elapsed = loop.time() - t0
+        pending = asyncio.ensure_future(batcher.submit("solo"))
+        for _ in range(5):
+            await asyncio.sleep(0)
+        flushed = list(batches)
+        done = pending.done()
         await batcher.close()
-        return result, size, elapsed
+        return flushed, done, await pending
 
-    result, size, elapsed = run(main())
-    assert result == "r:solo" and size == 1
-    assert elapsed < 5.0  # linger is 20ms; generous CI margin
+    flushed, done, result = run(main())
+    assert flushed == [["solo"]]
+    assert done and result == ("solo", 1)
+
+
+def test_requests_arriving_during_a_flush_form_the_next_batch():
+    """Back-pressure alone batches: while batch 1 is in flight, B, C
+    and D queue up and then ride one flush together."""
+    batches = []
+    entered = None
+    release = None
+
+    async def flush(payloads):
+        batches.append(list(payloads))
+        if len(batches) == 1:
+            entered.set()
+            await release.wait()
+        return payloads
+
+    async def main():
+        nonlocal entered, release
+        entered, release = asyncio.Event(), asyncio.Event()
+        batcher = MicroBatcher(flush, max_batch=64)
+        batcher.start()
+        first = asyncio.ensure_future(batcher.submit("A"))
+        await entered.wait()
+        rest = [asyncio.ensure_future(batcher.submit(p))
+                for p in "BCD"]
+        for _ in range(3):
+            await asyncio.sleep(0)
+        assert batcher.depth == 3     # queued behind the held batch
+        release.set()
+        results = await asyncio.gather(first, *rest)
+        await batcher.close()
+        return results
+
+    results = run(main())
+    assert batches == [["A"], ["B", "C", "D"]]
+    assert results == [("A", 1), ("B", 3), ("C", 3), ("D", 3)]
 
 
 def test_flush_exception_fails_the_batch_not_the_batcher():
@@ -88,7 +130,7 @@ def test_flush_exception_fails_the_batch_not_the_batcher():
         return payloads
 
     async def main():
-        batcher = MicroBatcher(flaky, max_batch=8, max_linger_ms=5.0)
+        batcher = MicroBatcher(flaky, max_batch=8)
         batcher.start()
         with pytest.raises(RuntimeError, match="batch exploded"):
             await batcher.submit("a")
@@ -105,7 +147,7 @@ def test_wrong_result_count_fails_the_batch():
         return payloads[:-1]
 
     async def main():
-        batcher = MicroBatcher(short, max_batch=8, max_linger_ms=5.0)
+        batcher = MicroBatcher(short, max_batch=8)
         batcher.start()
         with pytest.raises(RuntimeError, match="results"):
             await batcher.submit("a")
@@ -118,8 +160,7 @@ def test_close_drains_queued_requests():
     """close() answers what is already queued instead of dropping it."""
 
     async def main():
-        batcher = MicroBatcher(_echo_flush, max_batch=4,
-                               max_linger_ms=200.0)
+        batcher = MicroBatcher(_echo_flush, max_batch=4)
         batcher.start()
         pending = [asyncio.ensure_future(batcher.submit(i))
                    for i in range(6)]
@@ -144,8 +185,7 @@ def test_submit_after_close_raises():
 
 def test_depth_reflects_queued_requests():
     async def main():
-        batcher = MicroBatcher(_echo_flush, max_batch=4,
-                               max_linger_ms=50.0)
+        batcher = MicroBatcher(_echo_flush, max_batch=4)
         # not started: submissions pile up in the queue
         pending = []
         async def enqueue():
@@ -165,5 +205,3 @@ def test_depth_reflects_queued_requests():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         MicroBatcher(_echo_flush, max_batch=0)
-    with pytest.raises(ValueError):
-        MicroBatcher(_echo_flush, max_linger_ms=-1.0)

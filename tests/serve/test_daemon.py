@@ -12,11 +12,13 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.advisor import Advisor
 from repro.serve import ServeClient, ServeConfig, start_in_thread
 from repro.serve.protocol import advice_to_wire
 
@@ -38,8 +40,7 @@ def direct_answers(oracle, corpus, arch):
 def test_concurrent_clients_get_bit_identical_answers(
         advisor, oracle, corpus, arch):
     expected = direct_answers(oracle, corpus, arch)
-    with open_daemon(advisor, corpus, max_batch=8,
-                     linger_ms=10.0) as handle:
+    with open_daemon(advisor, corpus, max_batch=8) as handle:
 
         def one_client(i: int):
             with ServeClient("127.0.0.1", handle.port,
@@ -99,8 +100,7 @@ def test_error_responses(advisor, corpus):
 
 
 def test_healthz_and_metricsz_schema(advisor, corpus):
-    with open_daemon(advisor, corpus, max_batch=4,
-                     linger_ms=2.0) as handle:
+    with open_daemon(advisor, corpus, max_batch=4) as handle:
         with ServeClient("127.0.0.1", handle.port) as client:
             for i in range(6):
                 status, _ = client.advise(corpus[i % len(corpus)].name,
@@ -168,13 +168,29 @@ def test_admission_reject_schema_and_isolation(advisor, corpus):
             assert metrics["slo"]["shed"]["rate_limited"] == 2
 
 
-def test_sigterm_drains_inflight_requests(advisor, oracle, corpus,
-                                          arch):
+class GatedAdvisor(Advisor):
+    """An advisor whose ``advise_many`` holds until ``gate`` opens, so
+    a test can keep a batch in flight without any timer."""
+
+    def __init__(self, model) -> None:
+        super().__init__(model, workers=2)
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def advise_many(self, *args, **kwargs):
+        self.entered.set()
+        if not self.gate.wait(10.0):
+            raise TimeoutError("gate never opened")
+        return super().advise_many(*args, **kwargs)
+
+
+def test_sigterm_drains_inflight_requests(model, oracle, corpus, arch):
     """SIGTERM mid-burst: queued requests still answered bit-identically,
     the daemon exits, and late requests cannot connect."""
     expected = direct_answers(oracle, corpus, arch)
     outcomes = []
     errors = []
+    advisor = GatedAdvisor(model)
 
     async def scenario() -> None:
         from repro.serve.daemon import AdvisorDaemon
@@ -182,7 +198,7 @@ def test_sigterm_drains_inflight_requests(advisor, oracle, corpus,
         daemon = AdvisorDaemon(
             advisor, corpus,
             ServeConfig(port=0, rate=None, max_batch=8,
-                        linger_ms=30.0, drain_timeout=5.0))
+                        drain_timeout=5.0))
         await daemon.start()
         daemon.install_signal_handlers()
         port = daemon.port
@@ -202,14 +218,27 @@ def test_sigterm_drains_inflight_requests(advisor, oracle, corpus,
 
         burst = threading.Thread(target=client_burst)
         burst.start()
-        # SIGTERM lands while the burst is in flight (linger 30ms keeps
-        # requests queued); the handler runs on this main thread
-        asyncio.get_running_loop().call_later(
-            0.05, signal.raise_signal, signal.SIGTERM)
+        # SIGTERM lands while the first request's batch is held in
+        # advise_many; the handler runs on this main thread's loop
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, advisor.entered.wait,
+                                          10.0)
+        signal.raise_signal(signal.SIGTERM)
+        for _ in range(1000):
+            if daemon.draining:
+                break
+            await asyncio.sleep(0.001)
+        assert daemon.draining
+        advisor.gate.set()
         await daemon.serve_forever()
         burst.join(10.0)
+        assert not burst.is_alive()
 
-    asyncio.run(scenario())
+    try:
+        asyncio.run(scenario())
+    finally:
+        advisor.gate.set()
+        advisor.close()
     assert not errors, f"drain dropped a client: {errors[:1]}"
     assert len(outcomes) == 6
     for name, status, body in outcomes:
@@ -221,6 +250,46 @@ def test_sigterm_drains_inflight_requests(advisor, oracle, corpus,
             assert status == 503 and body["reason"] == "draining"
     # at least the first request predates the SIGTERM and must be served
     assert outcomes[0][1] == 200
+
+
+def _raw_post(port: int, content_length: str) -> tuple:
+    """POST /advise with a hand-written Content-Length and no body;
+    reads until the daemon closes the connection (a hang times out)
+    and returns (status, json body)."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=5.0) as sock:
+        sock.sendall(
+            f"POST /advise HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode())
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)
+
+
+@pytest.mark.parametrize("content_length,status,reason", [
+    ("abc", 400, "bad_request"),
+    ("-5", 400, "bad_request"),
+    ("99999999999", 413, "payload_too_large"),
+])
+def test_malformed_content_length_is_answered(advisor, corpus,
+                                              content_length, status,
+                                              reason):
+    """A bad Content-Length gets a structured answer and the connection
+    closes: no dropped socket, no hang waiting for a body."""
+    with open_daemon(advisor, corpus) as handle:
+        got_status, body = _raw_post(handle.port, content_length)
+        assert got_status == status
+        assert body["status"] == "error"
+        assert body["code"] == status and body["reason"] == reason
+        # the daemon survives and keeps serving
+        with ServeClient("127.0.0.1", handle.port) as client:
+            assert client.healthz()["status"] == "ok"
 
 
 def test_port_zero_picks_a_free_port(advisor, corpus):

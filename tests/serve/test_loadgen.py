@@ -68,8 +68,7 @@ def test_generate_trace_validates_arguments(corpus_names):
 
 def test_replay_against_live_daemon(advisor, corpus, corpus_names):
     trace = generate_trace(corpus_names, n=40, seed=5, rate=400.0)
-    config = ServeConfig(port=0, rate=None, max_batch=16,
-                         linger_ms=5.0)
+    config = ServeConfig(port=0, rate=None, max_batch=16)
     with start_in_thread(advisor, corpus, config) as handle:
         report = replay(trace, port=handle.port, arch=ARCH_NAME)
     assert report.requests == 40

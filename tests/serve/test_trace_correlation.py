@@ -77,8 +77,7 @@ def _events_by_name(events):
 def test_request_spans_transitively_parent_server_work(
         advisor, corpus, corpus_names):
     trace_mod.enable()
-    with open_daemon(advisor, corpus, max_batch=8,
-                     linger_ms=5.0) as handle:
+    with open_daemon(advisor, corpus, max_batch=8) as handle:
         sched = generate_trace(corpus_names, n=12, seed=3, rate=500.0)
         report = replay(sched, port=handle.port, arch=ARCH_NAME,
                         timeout=10.0)
