@@ -19,7 +19,10 @@ schema (ordering cache, advisor LRU, reuse memo) are checked idle and
 after a seeded workload — shared keys present, ``hit_rate`` finite and
 in ``[0, 1]`` at zero accesses — and the ordering cache is
 differentially checked against a fresh ``compute_ordering``, so a
-stale entry (wrong permutation under a colliding key) is caught.
+stale entry (wrong permutation under a colliding key) is caught.  A
+disk round trip then checks that a second cache instance serves the
+stored permutation and that a byte-flipped or entry-swapped file is
+recomputed rather than served.
 """
 
 from __future__ import annotations
@@ -94,6 +97,38 @@ def _check_caches(report: CheckReport, corpus) -> None:
         ok, detail = False, f"{type(exc).__name__}: {exc}"
     report.check(ok, SUITE, "cache-hit-rate-finite",
                  "cache=ordering-cache state=active", detail)
+
+    # disk round trip: a second instance must serve exactly the fresh
+    # permutation, and a corrupted entry must be recomputed, not served
+    subject = f"cache=ordering-cache matrix={entry.name}"
+    with tempfile.TemporaryDirectory() as tmp:
+        OrderingCache(tmp).get(entry.matrix, entry.name, "RCM", nparts=4,
+                               seed=0)
+        (name,) = os.listdir(tmp)
+        path = os.path.join(tmp, name)
+        with open(path, "rb") as fh:
+            intact = fh.read()
+        flipped = bytearray(intact)
+        flipped[-1] ^= 0x01
+        # the body is the permutation's 8-byte entries; swapping two
+        # keeps a bijection, so only the checksum can tell
+        head, body = intact[:-8 * fresh.n], intact[-8 * fresh.n:]
+        swapped = head + body[8:16] + body[:8] + body[16:]
+        for label, data in (("intact", intact), ("flipped-byte", flipped),
+                            ("swapped-entries", swapped)):
+            with open(path, "wb") as fh:
+                fh.write(data)
+            probe = OrderingCache(tmp)
+            got = probe.get(entry.matrix, entry.name, "RCM", nparts=4,
+                            seed=0)
+            served = probe.stats["disk_hits"] == 1
+            report.check(
+                bool(np.array_equal(got.perm, fresh.perm))
+                and served == (label == "intact"),
+                SUITE, "cache-rejects-corrupt-entry",
+                f"{subject} entry={label}",
+                f"disk_hits={probe.stats['disk_hits']}: a corrupt entry "
+                "was served, or an intact one was not")
 
 
 def check_artifacts(seed: int = 0, workdir: str | None = None) -> CheckReport:

@@ -171,6 +171,30 @@ def _fault_stale_cache_entry():
     return _patched(OrderingCache, "get", stale)
 
 
+def _fault_ordering_cache_skips_crc():
+    import json
+    import zlib
+
+    from ..harness import runner
+
+    orig = runner.decode_entry
+
+    def trusting(data, nrows, ordering):
+        # re-stamp the header with the body's own CRC before the check,
+        # so any body that is a bijection is served
+        hlen = int.from_bytes(data[:4], "little")
+        try:
+            header = json.loads(data[4:4 + hlen])
+        except ValueError:
+            return orig(data, nrows, ordering)
+        body = data[4 + hlen:]
+        raw = json.dumps({**header, "crc32": zlib.crc32(body)}).encode()
+        return orig(len(raw).to_bytes(4, "little") + raw + body, nrows,
+                    ordering)
+
+    return _patched(runner, "decode_entry", trusting)
+
+
 def _fault_imbalance_empty_threads():
     from ..spmv.schedule import Schedule
 
@@ -603,6 +627,11 @@ FAULTS = (
           "OrderingCache serves an identity permutation on cache hits",
           "cache-serves-fresh-result", _caches_target,
           _fault_stale_cache_entry),
+    Fault("ordering-cache-skips-crc",
+          "the ordering cache never checks an entry's CRC, so a disk "
+          "entry with two permutation entries swapped is served",
+          "cache-rejects-corrupt-entry", _caches_target,
+          _fault_ordering_cache_skips_crc),
     Fault("bfs-level-off-by-one",
           "the vectorised BFS folds the last frontier level into its "
           "predecessor (RCM level-boundary off-by-one)",

@@ -454,7 +454,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                 if not any(c in task.pending for c in group_cells):
                     continue
                 t0 = time.perf_counter()
-                result = None
+                permuted = None
                 error = None
                 attempts = 0
                 for attempt in range(config.retries + 1):
@@ -463,17 +463,17 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                         with _deadline(config.timeout), \
                                 span("reorder", matrix=entry.name,
                                      algo=name, attempt=attempts):
-                            result = cache.get(
+                            permuted = cache.get(
                                 a, entry.name, name,
                                 nparts=group[0][0].gp_parts,
-                                seed=config.seed)
+                                seed=config.seed).apply(a)
                         break
                     except Exception as exc:  # noqa: BLE001
                         error = exc
                         if attempt < config.retries:
                             retried += 1
                 timings["reorder"] += time.perf_counter() - t0
-                if result is None:
+                if permuted is None:
                     for cell in group_cells:
                         if cell not in task.pending:
                             continue
@@ -484,7 +484,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                             message=str(error), attempts=attempts,
                             seconds=time.perf_counter() - t0))
                     continue
-                eval_cells(result.apply(a), name, group)
+                eval_cells(permuted, name, group)
 
     # report *deltas* so caches/counters shared across serial tasks are
     # not double counted when the engine aggregates per-task stats —

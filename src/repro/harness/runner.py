@@ -4,8 +4,8 @@ Computing an ordering is orders of magnitude more expensive than
 evaluating the performance model, and the same (matrix, ordering,
 part-count) triple recurs across the eight architectures and the two
 kernels.  :class:`OrderingCache` memoises permutations in memory and
-optionally on disk (``.npz`` per corpus), so a full 8-architecture
-sweep costs one ordering pass.
+optionally on disk (one checksummed ``.perm`` file per entry), so a
+full 8-architecture sweep costs one ordering pass.
 
 Execution itself lives in :class:`~repro.harness.engine.SweepEngine`:
 process-pool fan-out, JSONL checkpointing with resume, per-cell
@@ -14,24 +14,89 @@ timeouts with bounded retries, and a metrics artifact.
 
 from __future__ import annotations
 
+import json
+import math
 import os
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import PermutationError
 from ..machine.bench import MeasurementRecord
 from ..matrix.csr import CSRMatrix
 from ..obs import cachestats
 from ..reorder import compute_ordering
 from ..reorder.perm import OrderingResult
 
+#: Suffix of an on-disk ordering-cache entry.
+ENTRY_SUFFIX = ".perm"
+#: Upper bound on an entry's JSON header; a larger length field marks
+#: a corrupt entry before anything is allocated for it.
+MAX_HEADER_BYTES = 4096
+_LEN = 4          # little-endian uint32 header length
+_INT = "<i8"      # body: n little-endian int64
+
+
+def encode_entry(result: OrderingResult) -> bytes:
+    """Serialise one cache entry: a 4-byte little-endian header
+    length, a JSON header ``{algorithm, symmetric, seconds, n, crc32}``,
+    then the permutation as ``n`` little-endian int64."""
+    body = np.ascontiguousarray(result.perm, dtype=_INT).tobytes()
+    header = json.dumps({
+        "algorithm": result.algorithm, "symmetric": bool(result.symmetric),
+        "seconds": float(result.seconds), "n": result.n,
+        "crc32": zlib.crc32(body)}).encode()
+    return len(header).to_bytes(_LEN, "little") + header + body
+
+
+def decode_entry(data: bytes, nrows: int,
+                 ordering: str) -> OrderingResult | None:
+    """Validate and decode one cache entry read back from disk.
+
+    The entry must describe an ``ordering`` permutation of an
+    ``nrows``-row matrix, with a finite non-negative time and a body of
+    exactly ``8 * n`` bytes whose CRC-32 matches the header; the
+    permutation must be a bijection.  Returns ``None`` on any mismatch
+    (a miss: the caller recomputes and overwrites the entry).
+    """
+    hlen = int.from_bytes(data[:_LEN], "little")
+    if len(data) < _LEN or hlen > MAX_HEADER_BYTES \
+            or _LEN + hlen > len(data):
+        return None
+    try:
+        header = json.loads(data[_LEN:_LEN + hlen])
+    except ValueError:              # bad JSON or bad UTF-8
+        return None
+    if not isinstance(header, dict):
+        return None
+    n, seconds = header.get("n"), header.get("seconds")
+    if (type(n) is not int or n != nrows
+            or header.get("algorithm") != ordering
+            or type(seconds) not in (int, float)
+            or not math.isfinite(seconds) or seconds < 0
+            or type(header.get("symmetric")) is not bool):
+        return None
+    body = data[_LEN + hlen:]
+    if len(body) != 8 * n or zlib.crc32(body) != header.get("crc32"):
+        return None
+    try:
+        return OrderingResult(algorithm=ordering,
+                              perm=np.frombuffer(body, dtype=_INT),
+                              symmetric=header["symmetric"],
+                              seconds=float(seconds))
+    except PermutationError:
+        return None
+
 
 class OrderingCache:
     """Memoises (matrix, ordering, nparts, seed) → OrderingResult.
 
     ``path`` enables disk persistence: each cached permutation is stored
-    in one ``.npz`` with its timing metadata.  Keys fold in the matrix
+    in one ``<key>.perm`` file with its timing metadata (see
+    :func:`encode_entry`), written atomically; an entry that fails
+    :func:`decode_entry` is a miss.  Keys fold in the matrix
     name, its shape and nnz, a CRC of the sparsity structure, and the
     seed, so two corpora that reuse a name — or regenerate it with a
     different seed or structure — can never alias to a stale
@@ -120,37 +185,43 @@ class OrderingCache:
             self._hits += 1
             return self._memory[key]
         if self.path is not None:
-            f = os.path.join(self.path, key + ".npz")
-            if os.path.exists(f):
-                result = self._load(f)
-                if result is not None:
-                    self._memory[key] = result
-                    self._disk_hits += 1
-                    return result
+            result = self._load(os.path.join(self.path, key + ENTRY_SUFFIX),
+                                a.nrows, ordering)
+            if result is not None:
+                self._memory[key] = result
+                self._disk_hits += 1
+                return result
         self._misses += 1
         result = compute_ordering(a, ordering, nparts=nparts, seed=seed)
         return self._store(key, result)
 
     @staticmethod
-    def _load(f: str):
-        """Read one disk entry; a corrupt/truncated file is a miss (it
-        will be recomputed and overwritten), not a crash."""
+    def _load(f: str, nrows: int, ordering: str) -> OrderingResult | None:
+        """Read one disk entry; a missing, corrupt or mismatched file is
+        a miss (it will be recomputed and overwritten), not a crash."""
         try:
-            data = np.load(f)
-            return OrderingResult(
-                algorithm=str(data["algorithm"]),
-                perm=data["perm"],
-                symmetric=bool(data["symmetric"]),
-                seconds=float(data["seconds"]))
-        except Exception:
+            with open(f, "rb") as fh:
+                # one byte past the largest valid entry: an oversized
+                # file is rejected without being read whole
+                data = fh.read(_LEN + MAX_HEADER_BYTES + 8 * nrows + 1)
+        except OSError:
             return None
+        return decode_entry(data, nrows, ordering)
 
     def _store(self, key: str, result: OrderingResult) -> OrderingResult:
         self._memory[key] = result
         if self.path is not None:
-            np.savez(os.path.join(self.path, key + ".npz"),
-                     algorithm=result.algorithm, perm=result.perm,
-                     symmetric=result.symmetric, seconds=result.seconds)
+            # write-then-rename: a killed writer leaves a stray temp
+            # file, never a torn entry
+            fd, tmp = tempfile.mkstemp(dir=self.path, prefix=key,
+                                       suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(encode_entry(result))
+                os.replace(tmp, os.path.join(self.path, key + ENTRY_SUFFIX))
+            except BaseException:
+                os.unlink(tmp)
+                raise
         return result
 
 

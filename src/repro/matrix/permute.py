@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import PermutationError
-from .build import coo_from_arrays, csr_from_coo
 from .csr import CSRMatrix
 
 
@@ -38,37 +37,55 @@ def invert_permutation(p: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _gather_rows(a: CSRMatrix, p: np.ndarray) -> tuple:
+    """``(rowptr, src)`` of ``PA``: ``src[j]`` is the position in ``a``
+    of the entry stored at position ``j`` of ``PA``."""
+    lengths = a.row_lengths()[p]
+    rowptr = np.zeros(a.nrows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=rowptr[1:])
+    # entry j of new row k sits at a.rowptr[p[k]] + (j - rowptr[k]) in a
+    src = (np.repeat(a.rowptr[p] - rowptr[:-1], lengths)
+           + np.arange(a.nnz, dtype=np.int64))
+    return rowptr, src
+
+
 def permute_rows(a: CSRMatrix, row_perm: np.ndarray) -> CSRMatrix:
     """Return ``PA``: row ``row_perm[k]`` of ``a`` becomes row ``k``.
 
     This is cheap in CSR — gather the row slices in the new order.
     """
     p = _check_perm(row_perm, a.nrows)
-    lengths = a.row_lengths()[p]
-    rowptr = np.zeros(a.nrows + 1, dtype=np.int64)
-    np.cumsum(lengths, out=rowptr[1:])
-    # gather entry indices for each new row, vectorised via repeat/arange
-    starts = a.rowptr[p]
-    # entry j of new row k comes from position starts[k] + j
-    offsets = np.arange(a.nnz, dtype=np.int64) - np.repeat(rowptr[:-1], lengths)
-    src = np.repeat(starts, lengths) + offsets
+    rowptr, src = _gather_rows(a, p)
     return CSRMatrix(a.nrows, a.ncols, rowptr, a.colidx[src], a.values[src])
+
+
+def _permute_two_sided(a: CSRMatrix, p: np.ndarray,
+                       col_inv: np.ndarray) -> CSRMatrix:
+    """Gather rows in the order ``p``, relabel columns through
+    ``col_inv`` (old-to-new), then restore sorted columns per row.
+
+    ``a`` has strictly increasing columns per row, so the result has no
+    duplicate (row, col) pairs and one sort on ``row * ncols + col``
+    suffices — no COO rebuild or duplicate reduction.
+    """
+    rowptr, src = _gather_rows(a, p)
+    cols = col_inv[a.colidx[src]]
+    rows = np.repeat(np.arange(a.nrows, dtype=np.int64), np.diff(rowptr))
+    order = np.argsort(rows * a.ncols + cols)
+    return CSRMatrix(a.nrows, a.ncols, rowptr, cols[order],
+                     a.values[src[order]])
 
 
 def permute_symmetric(a: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
     """Return ``PAPᵀ`` for square ``a`` (rows and columns both permuted).
 
-    Column relabelling breaks the sorted-columns invariant, so the result
-    is rebuilt through the COO path (O(nnz log nnz)).
+    Column relabelling breaks the sorted-columns invariant, so the
+    gathered rows are re-sorted (O(nnz log nnz)).
     """
     if not a.is_square:
         raise PermutationError("symmetric permutation requires a square matrix")
     p = _check_perm(perm, a.nrows)
-    inv = invert_permutation(p)
-    rows = inv[a.row_of_entry()]
-    cols = inv[a.colidx]
-    coo = coo_from_arrays(a.nrows, a.ncols, rows, cols, a.values)
-    return csr_from_coo(coo)
+    return _permute_two_sided(a, p, invert_permutation(p))
 
 
 def permute_csr(a: CSRMatrix, row_perm: np.ndarray,
@@ -76,9 +93,4 @@ def permute_csr(a: CSRMatrix, row_perm: np.ndarray,
     """General two-sided permutation with independent row/column orders."""
     rp = _check_perm(row_perm, a.nrows)
     cp = _check_perm(col_perm, a.ncols)
-    inv_r = invert_permutation(rp)
-    inv_c = invert_permutation(cp)
-    rows = inv_r[a.row_of_entry()]
-    cols = inv_c[a.colidx]
-    coo = coo_from_arrays(a.nrows, a.ncols, rows, cols, a.values)
-    return csr_from_coo(coo)
+    return _permute_two_sided(a, rp, invert_permutation(cp))

@@ -24,6 +24,7 @@ from repro.harness import (
 )
 from repro.machine import get_architecture
 from repro.reorder import registry
+from repro.reorder.perm import OrderingResult
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,28 @@ def test_raising_ordering_yields_failed_cells_not_a_crash(
         assert f.attempts == 2
     assert engine.metrics.cells["retried"] == len(tiny_corpus)
     assert not result.complete
+
+
+@pytest.fixture
+def misfit_ordering():
+    """Computes fine, but its permutation is one row short, so applying
+    it to the matrix raises."""
+    def short(a, **kw):
+        return OrderingResult("Short", np.arange(a.nrows - 1), True)
+
+    registry.ORDERING_FUNCS["Short"] = short
+    yield "Short"
+    registry.ORDERING_FUNCS.pop("Short", None)
+
+
+def test_raising_apply_yields_failed_cells_not_a_crash(
+        tiny_corpus, rome, misfit_ordering):
+    result = SweepEngine(tiny_corpus[:1], rome,
+                         [misfit_ordering, "RCM"]).run()
+    # the matrix's other cells completed: baseline + RCM, both kernels
+    assert len(result.records) == 2 * 2
+    assert [(f.ordering, f.stage, f.error) for f in result.failed] == \
+        [(misfit_ordering, "reorder", "PermutationError")] * 2
 
 
 def test_timeout_produces_structured_timeout_failure(

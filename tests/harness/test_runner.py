@@ -1,8 +1,12 @@
+import json
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.generators import build_corpus
 from repro.harness import OrderingCache, SweepEngine
+from repro.harness.runner import MAX_HEADER_BYTES
 from repro.machine import get_architecture
 
 
@@ -125,7 +129,7 @@ def test_ordering_cache_key_folds_in_shape_and_nnz(tmp_path):
     assert cache.stats["misses"] == 2  # no alias
     assert r_small.n == small.nrows and r_large.n == large.nrows
     # and the disk entries are distinct files
-    assert len(list(tmp_path.glob("*.npz"))) == 2
+    assert len(list(tmp_path.glob("*.perm"))) == 2
 
 
 def test_ordering_cache_key_folds_in_structure():
@@ -164,7 +168,7 @@ def test_ordering_cache_survives_corrupt_disk_entry(tiny_corpus, tmp_path):
     c1 = OrderingCache(path=str(tmp_path))
     r1 = c1.get(e.matrix, e.name, "RCM")
     # truncate the artifact, as a botched copy or git filter would
-    npz = next(tmp_path.glob("*.npz"))
+    npz = next(tmp_path.glob("*.perm"))
     npz.write_bytes(npz.read_bytes()[:100])
     c2 = OrderingCache(path=str(tmp_path))
     r2 = c2.get(e.matrix, e.name, "RCM")
@@ -174,3 +178,119 @@ def test_ordering_cache_survives_corrupt_disk_entry(tiny_corpus, tmp_path):
     c3 = OrderingCache(path=str(tmp_path))
     c3.get(e.matrix, e.name, "RCM")
     assert c3.stats["disk_hits"] == 1
+
+
+# ----------------------------------------------------------------------
+# the on-disk entry is a trust boundary: every malformed entry is a miss
+# ----------------------------------------------------------------------
+def _split(data):
+    hlen = int.from_bytes(data[:4], "little")
+    return json.loads(data[4:4 + hlen]), data[4 + hlen:]
+
+
+def _join(header, body):
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return len(raw).to_bytes(4, "little") + raw + body
+
+
+def _with_header(**fields):
+    def edit(data):
+        header, body = _split(data)
+        return _join({**header, **fields}, body)
+    return edit
+
+
+def _flip_body_byte(data):
+    out = bytearray(data)
+    out[-3] ^= 0x01
+    return bytes(out)
+
+
+def _swap_first_two_entries(data):
+    # still a bijection: only the CRC can tell
+    header, body = _split(data)
+    return _join(header, body[8:16] + body[:8] + body[16:])
+
+
+def _one_row_too_many(data):
+    # a valid, CRC-consistent permutation of n + 1 rows
+    header, body = _split(data)
+    body += np.array([header["n"]], dtype="<i8").tobytes()
+    return _join({**header, "n": header["n"] + 1,
+                  "crc32": zlib.crc32(body)}, body)
+
+
+def _padded_header(data):
+    header, body = _split(data)
+    raw = json.dumps(header).encode()
+    return _join(raw.ljust(MAX_HEADER_BYTES + 1), body)
+
+
+CORRUPTIONS = {
+    "truncated": lambda d: d[:-5],
+    "flipped-body-byte": _flip_body_byte,
+    "swapped-entries": _swap_first_two_entries,
+    "header-longer-than-file": lambda d: len(d).to_bytes(4, "little") + d[4:],
+    "header-over-limit": _padded_header,
+    "non-json-header": lambda d: _join(b"\xffnot json", _split(d)[1]),
+    "nan-seconds": _with_header(seconds=float("nan")),
+    "negative-seconds": _with_header(seconds=-1.0),
+    "algorithm-differs-from-key": _with_header(algorithm="Gray"),
+    "n-differs-from-nrows": _one_row_too_many,
+}
+
+
+def _fill(entry, path):
+    return OrderingCache(path=str(path)).get(entry.matrix, entry.name, "RCM")
+
+
+def test_reencoded_disk_entry_is_a_hit(tiny_corpus, tmp_path):
+    """The corruption helpers re-encode faithfully, so each case below
+    is rejected for its own defect alone."""
+    e = tiny_corpus[0]
+    r1 = _fill(e, tmp_path)
+    f = next(tmp_path.glob("*.perm"))
+    f.write_bytes(_join(*_split(f.read_bytes())))
+    c2 = OrderingCache(path=str(tmp_path))
+    assert np.array_equal(c2.get(e.matrix, e.name, "RCM").perm, r1.perm)
+    assert c2.stats["disk_hits"] == 1
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_disk_entry_is_recomputed(tiny_corpus, tmp_path, corruption):
+    e = tiny_corpus[0]
+    r1 = _fill(e, tmp_path)
+    f = next(tmp_path.glob("*.perm"))
+    f.write_bytes(CORRUPTIONS[corruption](f.read_bytes()))
+    c2 = OrderingCache(path=str(tmp_path))
+    r2 = c2.get(e.matrix, e.name, "RCM")
+    assert np.array_equal(r1.perm, r2.perm)
+    assert c2.stats["misses"] == 1 and c2.stats["disk_hits"] == 0
+    # the recompute overwrote the entry: a fresh cache now hits
+    c3 = OrderingCache(path=str(tmp_path))
+    assert np.array_equal(c3.get(e.matrix, e.name, "RCM").perm, r1.perm)
+    assert c3.stats["disk_hits"] == 1
+
+
+def test_legacy_npz_entries_are_ignored(tiny_corpus, tmp_path):
+    e = tiny_corpus[0]
+    key = OrderingCache._key(e.matrix, e.name, "RCM", 64)
+    np.savez(tmp_path / f"{key}.npz", algorithm="RCM",
+             perm=np.arange(e.matrix.nrows), symmetric=True, seconds=0.0)
+    cache = OrderingCache(path=str(tmp_path))
+    result = cache.get(e.matrix, e.name, "RCM")
+    assert cache.stats["misses"] == 1
+    assert np.array_equal(
+        result.perm, OrderingCache().get(e.matrix, e.name, "RCM").perm)
+
+
+def test_failed_store_leaves_no_entry(tiny_corpus, tmp_path, monkeypatch):
+    from repro.harness import runner
+
+    def broken(result):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runner, "encode_entry", broken)
+    with pytest.raises(OSError):
+        _fill(tiny_corpus[0], tmp_path)
+    assert list(tmp_path.iterdir()) == []
