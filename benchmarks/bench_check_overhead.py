@@ -36,8 +36,8 @@ from conftest import SEED
 #: breach means the quick tier stopped being quick, not a flaky timer.
 BUDGET = {
     "compute_ordering": 800,    # currently ~400 (permutation suite x2)
-    "spmv_kernel": 450,         # currently ~230 (kernels suite)
-    "model_predict": 900,       # currently ~440 (model + artifacts)
+    "spmv_kernel": 450,         # currently ~390 (kernels + solvers)
+    "model_predict": 900,       # currently ~480 (model + artifacts)
 }
 #: coverage floor: quick subsampling must not hollow the tier out
 MIN_CASES = 1000

@@ -95,8 +95,7 @@ def gated_sweep(xl_snapshot):
                       + {SWEEP_ARGS!r}
                       + ["--journal", {str(journal)!r},
                          "--metrics", {str(metrics)!r},
-                         "--manifest", {str(STORAGE_DIR / 'xl_manifest.json')!r},
-                         "--strict"])
+                         "--manifest", {str(STORAGE_DIR / 'xl_manifest.json')!r}])
         kb = 1024.0
         print(json.dumps({{
             "rc": rc,
@@ -223,7 +222,7 @@ def test_sigkill_resume_zero_regeneration(gated_sweep, xl_snapshot):
         (f"resume rebuilt {built} / quarantined {quar} snapshot "
          "matrices — reattachment is not content-addressed")
 
-    resume = subprocess.run(cmd + ["--resume", "--strict"], env=_env(),
+    resume = subprocess.run(cmd + ["--resume"], env=_env(),
                             capture_output=True, text=True, timeout=1800)
     assert resume.returncode == 0, \
         f"resume failed:\n{resume.stdout[-2000:]}\n{resume.stderr[-2000:]}"

@@ -25,7 +25,7 @@ from .reorder import ALL_ORDERINGS, compute_ordering
 from .machine import TABLE2, PerfModel, get_architecture
 from .spmv import spmv, schedule_1d, schedule_2d
 from .generators import build_corpus, named_matrix
-from .advisor import Advisor, AdvisorModel, train_advisor
+from .advisor import Advisor, AdvisorModel
 
 __all__ = [
     "__version__",
@@ -44,5 +44,4 @@ __all__ = [
     "named_matrix",
     "Advisor",
     "AdvisorModel",
-    "train_advisor",
 ]

@@ -30,7 +30,7 @@ from .evaluate import EvaluationReport, evaluate_advisor
 from .featurize import FEATURE_NAMES, featurize, matrix_features
 from .model import MODEL_VERSION, Advice, AdvisorModel
 from .service import Advisor
-from .train import train_advisor, train_model
+from .train import train_model
 
 __all__ = [
     "Advice",
@@ -46,6 +46,5 @@ __all__ = [
     "evaluate_advisor",
     "featurize",
     "matrix_features",
-    "train_advisor",
     "train_model",
 ]

@@ -74,10 +74,6 @@ class LRUCache:
         self.put(key, value)
         return value
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
     @property
     def stats(self) -> dict:
         """Shared-schema counters plus ``size``/``capacity``.

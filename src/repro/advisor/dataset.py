@@ -2,8 +2,8 @@
 
 One :class:`DatasetRow` is one (matrix, architecture, kernel) cell of a
 :class:`repro.harness.runner.SweepResult`: the advisor feature vector,
-the measured speedup of every ordering over the natural order, the
-measured-best ordering as the label, the §4.4 taxonomy class of that
+the modelled speedup of every ordering over the natural order, the
+modelled-best ordering as the label, the §4.4 taxonomy class of that
 winner, and the reordering wall-clock costs needed for the Table 5
 break-even logic.
 

@@ -1,10 +1,11 @@
 """Held-out evaluation: how close does the advisor get to the oracle?
 
 For every (test matrix, architecture, kernel) cell the advisor picks a
-top ordering from features alone; the sweep provides the measured
-speedup of that pick.  Four baselines anchor the numbers:
+top ordering from features alone; the sweep provides the modelled
+speedup of that pick (``PerfModel``, not a stopwatch).  Four baselines
+anchor the numbers:
 
-* **oracle** — the measured-best ordering per cell (upper bound),
+* **oracle** — the modelled-best ordering per cell (upper bound),
 * **always-RCM** — the paper's strongest single default,
 * **rules** — hand-written thresholds distilled from the paper's
   findings (:func:`_rules_pick`), reading the same feature vector,
@@ -67,7 +68,7 @@ class EvaluationReport:
     """Aggregate advisor quality over a held-out corpus split."""
 
     cases: int
-    top1_accuracy: float       # pick == measured best (strict label match)
+    top1_accuracy: float       # pick == modelled best (strict label match)
     within_5pct: float         # pick's speedup ≥ 95% of the oracle's
     geomean_advisor: float
     geomean_oracle: float
@@ -80,10 +81,6 @@ class EvaluationReport:
     def fraction_of_oracle(self) -> float:
         """Advisor geomean speedup relative to the oracle's."""
         return self.geomean_advisor / self.geomean_oracle
-
-    @property
-    def beats_rcm(self) -> bool:
-        return self.geomean_advisor >= self.geomean_rcm
 
     def rows(self) -> list:
         """Table rows: policy, geomean speedup, fraction of oracle."""
@@ -103,7 +100,7 @@ def evaluate_advisor(advisor: Advisor, corpus: list, architectures: list,
                      orderings=None, kernels: tuple = ("1d", "2d"),
                      cache=None, sweep=None, seed=0,
                      iterations: float | None = None) -> EvaluationReport:
-    """Score ``advisor`` against the measured sweep of ``corpus``.
+    """Score ``advisor`` against the modelled sweep of ``corpus``.
 
     ``sweep``/``cache`` are forwarded to
     :func:`repro.advisor.dataset.build_dataset`, which supplies the

@@ -196,7 +196,3 @@ class Advisor:
                             "mean_s": _LATENCY.mean(),
                             "p50_s": _LATENCY.quantile(0.5),
                             "p99_s": _LATENCY.quantile(0.99)}}
-
-    def clear_caches(self) -> None:
-        self._features.clear()
-        self._advice.clear()

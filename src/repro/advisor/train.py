@@ -1,4 +1,4 @@
-"""Training recipes: corpus → sweep → dataset → model → Advisor.
+"""Training recipes: corpus → sweep → dataset → model.
 
 The one-call entry point for the CLI and for tests.  Training cost is
 dominated by the reordering pass of the sweep; pass a disk-backed
@@ -12,7 +12,6 @@ from ..harness.runner import OrderingCache, SweepResult
 from ..machine.arch import get_architecture
 from .dataset import build_dataset
 from .model import AdvisorModel
-from .service import Advisor
 
 #: default training machine when the caller does not name one
 DEFAULT_ARCHITECTURES = ("Milan B",)
@@ -48,10 +47,3 @@ def train_model(corpus=None, tier: str = "tiny", architectures=None,
                          kernels=kernels, cache=cache, sweep=sweep,
                          seed=seed)
     return AdvisorModel(k=k).fit(rows)
-
-
-def train_advisor(*, iterations: float | None = None,
-                  cache_size: int = 256, **kwargs) -> Advisor:
-    """:func:`train_model` wrapped into a serving :class:`Advisor`."""
-    return Advisor(train_model(**kwargs), iterations=iterations,
-                   cache_size=cache_size)

@@ -35,12 +35,3 @@ def boxplot_summary(values, whisker: float = 1.5) -> tuple:
     lo = float(inside.min()) if inside.size else float(q1)
     hi = float(inside.max()) if inside.size else float(q3)
     return (lo, float(q1), float(med), float(q3), hi)
-
-
-def speedup_quartiles(values) -> tuple:
-    """(q1, median, q3) — the paper's \"most typical case\" summary."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise HarnessError("quartiles of an empty sequence")
-    q1, med, q3 = np.percentile(arr, [25, 50, 75])
-    return float(q1), float(med), float(q3)

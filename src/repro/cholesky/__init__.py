@@ -13,7 +13,7 @@ Fill-in is quantified without numeric factorisation:
 from .etree import elimination_tree
 from .postorder import etree_postorder
 from .rowcounts import cholesky_row_counts, cholesky_nnz
-from .fill import fill_ratio, fill_ratios_per_ordering
+from .fill import fill_ratio
 
 __all__ = [
     "elimination_tree",
@@ -21,5 +21,4 @@ __all__ = [
     "cholesky_row_counts",
     "cholesky_nnz",
     "fill_ratio",
-    "fill_ratios_per_ordering",
 ]

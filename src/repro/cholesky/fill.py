@@ -44,14 +44,3 @@ def fill_ratio(a: CSRMatrix, ordering: OrderingResult | None = None) -> float:
         pattern = ordering.apply(pattern)
     nnz_l = cholesky_nnz(pattern)
     return float(nnz_l / pattern.nnz)
-
-
-def fill_ratios_per_ordering(a: CSRMatrix, orderings: dict) -> dict:
-    """Map ordering name → fill ratio for every symmetric ordering in
-    ``orderings`` (name → OrderingResult), plus the original order."""
-    out = {"original": fill_ratio(a)}
-    for name, result in orderings.items():
-        if not result.symmetric:
-            continue
-        out[name] = fill_ratio(a, result)
-    return out

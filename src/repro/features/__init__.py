@@ -15,12 +15,6 @@ from .bandwidth import bandwidth
 from .profile import profile
 from .offdiag import offdiagonal_nonzeros
 from .imbalance import imbalance_factor, imbalance_factor_1d
-from .collect import collect_features
-from .locality import (
-    adjacent_row_overlap,
-    mean_column_span,
-    row_length_entropy,
-)
 
 __all__ = [
     "bandwidth",
@@ -28,8 +22,4 @@ __all__ = [
     "offdiagonal_nonzeros",
     "imbalance_factor",
     "imbalance_factor_1d",
-    "collect_features",
-    "mean_column_span",
-    "adjacent_row_overlap",
-    "row_length_entropy",
 ]

@@ -15,8 +15,6 @@ grows with the thread count even for perfectly balanced matrices.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..matrix.csr import CSRMatrix
 from ..spmv.schedule import Schedule, schedule_1d
 

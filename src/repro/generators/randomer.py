@@ -7,8 +7,6 @@ populate the slowdown tails of the paper's Figure 2 boxplots).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..matrix.csr import CSRMatrix
 from ..util.rng import as_rng
 from ._common import check_size, symmetric_from_edges, unsymmetric_from_entries

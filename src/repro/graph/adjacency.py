@@ -100,9 +100,6 @@ class Graph:
     def neighbours(self, v: int) -> np.ndarray:
         return self.adjncy[self.xadj[v]:self.xadj[v + 1]]
 
-    def edge_weights_of(self, v: int) -> np.ndarray:
-        return self.ewgt[self.xadj[v]:self.xadj[v + 1]]
-
     def total_vertex_weight(self) -> int:
         return int(self.vwgt.sum())
 

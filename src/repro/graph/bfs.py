@@ -133,23 +133,3 @@ def bfs_levels_fast(g: Graph, start: int) -> np.ndarray:
             frontier = np.unique(cand)
             level[frontier] = depth
     return body
-
-
-def bfs_order(g: Graph, start: int, sort_by_degree: bool = True) -> np.ndarray:
-    """Return vertices of ``start``'s component in BFS visit order.
-
-    With ``sort_by_degree`` (the Cuthill–McKee rule), vertices within
-    each level are visited in ascending degree order, with ties broken
-    by the order their parents were visited — the classical CM queue
-    discipline approximated level-by-level (exact per-parent ordering
-    differs only in tie-breaking and does not change the bandwidth
-    guarantees the ordering is used for).
-    """
-    level = bfs_levels(g, start)
-    reached = np.flatnonzero(level >= 0)
-    deg = g.degrees()
-    if sort_by_degree:
-        order = reached[np.lexsort((deg[reached], level[reached]))]
-    else:
-        order = reached[np.argsort(level[reached], kind="stable")]
-    return order

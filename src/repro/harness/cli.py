@@ -280,7 +280,7 @@ def _cmd_sweep(args) -> int:
                 print(render_boxplot_figure(
                     study, names,
                     f"speedup distribution ({study.kernel})"))
-    return 1 if (sweep.failed and args.strict) else 0
+    return 1 if sweep.failed else 0
 
 
 def _cmd_report(args) -> int:
@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="run the parallel, resumable measurement sweep engine")
+        help="run the parallel, resumable measurement sweep engine "
+             "(exits 1 if any cell failed)")
     p.add_argument("--tier", default="tiny",
                    choices=("tiny", "small", "medium"))
     p.add_argument("--limit", type=int, default=None,
@@ -444,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boxplots", action="store_true",
                    help="with --tables, also print each table's "
                         "speedup distributions (Figs 2/3)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero if any cell failed")
     p.add_argument("--cache", default=None,
                    help="directory for the ordering cache")
     p.set_defaults(func=_cmd_sweep)

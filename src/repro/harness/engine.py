@@ -55,6 +55,7 @@ cell evaluated on it (see docs/perfmodel.md).
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import threading
@@ -63,7 +64,7 @@ from concurrent.futures import as_completed
 from concurrent.futures.process import (BrokenProcessPool,
                                         ProcessPoolExecutor)
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..errors import HarnessError
 from ..machine.bench import MeasurementRecord, simulate_measurement
@@ -136,6 +137,27 @@ def _deadline(seconds):
 # ----------------------------------------------------------------------
 # JSONL checkpoint journal
 # ----------------------------------------------------------------------
+#: JSON types each MeasurementRecord field annotation admits
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
+def _journaled_record(entry: dict) -> MeasurementRecord | None:
+    """The record a ``record`` entry carries, or ``None`` if a field
+    has the wrong type, a number is not finite, or ``cell`` is not the
+    record's own ``(matrix, ordering, kernel, architecture)``."""
+    rec = MeasurementRecord(**entry["data"])
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        if isinstance(value, bool) \
+                or not isinstance(value, _JSON_TYPES[f.type]) \
+                or (isinstance(value, float) and not math.isfinite(value)):
+            return None
+    if entry["cell"] != [rec.matrix, rec.ordering, rec.kernel,
+                         rec.architecture]:
+        return None
+    return rec
+
+
 class SweepJournal:
     """Append-only JSONL checkpoint of completed sweep cells.
 
@@ -159,7 +181,9 @@ class SweepJournal:
         ``records`` maps cell tuples to :class:`MeasurementRecord`;
         ``failures`` is the list of journaled :class:`FailedCell` rows
         (informational — failed cells stay pending on resume).
-        Undecodable or incomplete lines are skipped.
+        Undecodable (torn, non-UTF-8) or incomplete lines are skipped,
+        and so is a record whose fields have the wrong types, are not
+        finite, or disagree with its cell: its cell is recomputed.
 
         A journal with no readable entries at all — zero bytes, or only
         the torn tail of a process killed mid-header — parses as
@@ -172,11 +196,11 @@ class SweepJournal:
         signature = None
         records: dict = {}
         failures: list = []
-        with open(path, "rt") as f:
+        with open(path, "rb") as f:
             for line in f:
                 try:
                     entry = json.loads(line)
-                except (json.JSONDecodeError, ValueError):
+                except ValueError:  # also UnicodeDecodeError
                     continue  # torn write from a killed process
                 if not isinstance(entry, dict):
                     continue
@@ -185,8 +209,9 @@ class SweepJournal:
                     if kind == "header":
                         signature = entry["signature"]
                     elif kind == "record":
-                        rec = MeasurementRecord(**entry["data"])
-                        records[tuple(entry["cell"])] = rec
+                        rec = _journaled_record(entry)
+                        if rec is not None:
+                            records[tuple(entry["cell"])] = rec
                     elif kind == "failed":
                         failures.append(FailedCell(**entry["data"]))
                 except (KeyError, TypeError):

@@ -4,18 +4,14 @@ Implements multilevel hypergraph bisection with the **cut-net** metric
 used by the paper's HP ordering (§3.3): heavy-connectivity matching for
 coarsening, greedy growing for initial partitions, and cut-net FM for
 refinement.  k-way partitions come from recursive bisection.
-
-The connectivity (λ−1) metric is also implemented in :mod:`.metrics`
-for completeness — PaToH offers both and the paper picks cut-net.
 """
 
-from .metrics import cutnet, connectivity_minus_one, hyper_balance
+from .metrics import cutnet, hyper_balance
 from .multilevel import hbisect
 from .recursive import partition_hypergraph
 
 __all__ = [
     "cutnet",
-    "connectivity_minus_one",
     "hyper_balance",
     "hbisect",
     "partition_hypergraph",

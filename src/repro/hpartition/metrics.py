@@ -3,9 +3,7 @@
 * **cut-net**: sum of weights of nets with pins in ≥ 2 parts — the
   objective the study's HP ordering minimises.  In the column-net model
   this counts columns whose nonzeros span multiple row blocks.
-* **connectivity − 1** (λ−1): sum over nets of (number of parts spanned
-  − 1) — PaToH's alternative objective, equal to the communication
-  volume of parallel SpMV.
+* **balance**: max part weight over average part weight.
 """
 
 from __future__ import annotations
@@ -47,14 +45,6 @@ def cutnet(h: Hypergraph, part: np.ndarray) -> int:
     part = _check(h, part)
     spans = _parts_per_net(h, part)
     return int(h.nwgt[spans >= 2].sum())
-
-
-def connectivity_minus_one(h: Hypergraph, part: np.ndarray) -> int:
-    """λ−1 metric: Σ_nets w(e)·(parts spanned − 1)."""
-    part = _check(h, part)
-    spans = _parts_per_net(h, part)
-    lam = np.maximum(spans - 1, 0)
-    return int((h.nwgt * lam).sum())
 
 
 def hyper_balance(h: Hypergraph, part: np.ndarray, nparts: int) -> float:

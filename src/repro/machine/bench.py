@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..matrix.csr import CSRMatrix
 from ..spmv.registry import resolve_workload
 from ..spmv.schedule import (

@@ -116,10 +116,6 @@ class SpmvPrediction:
     bytes_total: float
     llc_residency: float      # fraction of working set resident in LLC
 
-    @property
-    def slowest_thread(self) -> int:
-        return int(np.argmax(self.thread_seconds))
-
 
 class PerfModel:
     """Performance model bound to one architecture.

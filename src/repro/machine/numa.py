@@ -31,7 +31,7 @@ from ..errors import ArchitectureError
 from ..matrix.csr import CSRMatrix
 from ..spmv.schedule import Schedule
 from .arch import Architecture
-from .model import PerfModel, SpmvPrediction, X_BYTES_PER_LOAD
+from .model import PerfModel, X_BYTES_PER_LOAD
 
 PLACEMENTS = ("local_only", "first_touch", "interleaved")
 DEFAULT_REMOTE_PENALTY = 1.7

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ScheduleError
 from ..matrix.csr import CSRMatrix
 from ..spmv.products import spgemm_flops

@@ -71,10 +71,6 @@ class COOMatrix:
         return COOMatrix(self.ncols, self.nrows, self.col.copy(),
                          self.row.copy(), self.values.copy())
 
-    def with_values(self, values: np.ndarray) -> "COOMatrix":
-        """Return a copy with the same pattern but new ``values``."""
-        return COOMatrix(self.nrows, self.ncols, self.row, self.col, values)
-
     def to_dense(self) -> np.ndarray:
         """Materialise as a dense array (testing/small matrices only)."""
         dense = np.zeros((self.nrows, self.ncols))

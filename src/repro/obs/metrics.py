@@ -328,11 +328,6 @@ class MetricsRegistry:
                     hist._count += int(entry.get("count", 0))
                     hist._max = max(hist._max, entry.get("max", 0.0))
 
-    def reset(self) -> None:
-        """Forget every metric (tests only)."""
-        with self._lock:
-            self._metrics.clear()
-
 
 #: the process-global default registry; workers snapshot/delta it and
 #: the sweep engine merges their deltas into a run-local registry.

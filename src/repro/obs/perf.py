@@ -40,6 +40,7 @@ import math
 import os
 import time
 
+from ..errors import HarnessError
 from .log import get_logger
 
 __all__ = ["metric", "bench_record", "BenchLedger", "compare_records",
@@ -108,6 +109,27 @@ def bench_record(name: str, tier: str, seed, metrics: dict,
     }
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_record(rec) -> bool:
+    """Whether ``rec`` is a BenchRecord the comparisons and the trend
+    table can read: string name and git SHA, finite metric values."""
+    if not (isinstance(rec, dict) and isinstance(rec.get("name"), str)
+            and isinstance(rec.get("git_sha") or "", str)
+            and isinstance(rec.get("metrics"), dict)):
+        return False
+    return all(isinstance(m, dict) and _is_number(m.get("value"))
+               and isinstance(m.get("unit", ""), str)
+               and isinstance(m.get("kind", ""), str)
+               and m.get("polarity", "lower") in ("lower", "higher")
+               and (m.get("tolerance") is None or _is_number(m["tolerance"]))
+               and isinstance(m.get("samples", []), list)
+               for m in rec["metrics"].values())
+
+
 class BenchLedger:
     """Append-only JSON history of BenchRecords for one tier."""
 
@@ -115,14 +137,27 @@ class BenchLedger:
         self.path = str(path)
 
     def load(self) -> dict:
+        """The ledger document (empty if the file does not exist);
+        :class:`HarnessError` if the file is not UTF-8 JSON holding a
+        ``records`` list of well-formed BenchRecords."""
         if not os.path.exists(self.path):
             return {"version": LEDGER_VERSION, "records": []}
-        with open(self.path, "rt") as f:
-            doc = json.load(f)
+        try:
+            with open(self.path, "rb") as f:
+                doc = json.loads(f.read())
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers both bad JSON and bad UTF-8
+            raise HarnessError(
+                f"{self.path}: unreadable bench ledger: {exc}") from exc
         if not isinstance(doc, dict) or \
                 not isinstance(doc.get("records"), list):
-            raise ValueError(f"{self.path}: not a bench ledger "
-                             "(expected an object with a 'records' list)")
+            raise HarnessError(f"{self.path}: not a bench ledger "
+                               "(expected an object with a 'records' "
+                               "list)")
+        for i, rec in enumerate(doc["records"]):
+            if not _is_record(rec):
+                raise HarnessError(f"{self.path}: record {i} is not a "
+                                   "well-formed BenchRecord")
         return doc
 
     def records(self, name: str | None = None) -> list:

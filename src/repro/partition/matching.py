@@ -89,27 +89,6 @@ def heavy_edge_matching_reference(g: Graph, rng=None) -> np.ndarray:
     return match
 
 
-def random_matching(g: Graph, rng=None) -> np.ndarray:
-    """Weight-oblivious matching; used as an ablation baseline."""
-    rng = as_rng(rng)
-    n = g.nvertices
-    match = np.full(n, UNMATCHED, dtype=np.int64)
-    order = rng.permutation(n)
-    xadj, adjncy = g.xadj, g.adjncy
-    for v in order:
-        if match[v] != UNMATCHED:
-            continue
-        nbrs = adjncy[xadj[v]:xadj[v + 1]]
-        free = nbrs[(match[nbrs] == UNMATCHED) & (nbrs != v)]
-        if free.size:
-            u = int(free[rng.integers(0, free.size)])
-            match[v] = u
-            match[u] = v
-        else:
-            match[v] = v
-    return match
-
-
 def matching_to_coarse_map(match: np.ndarray) -> tuple:
     """Convert a matching into (cmap, ncoarse).
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from ..graph.hypergraph import column_net_hypergraph
 from ..errors import ReorderingError
 from ..hpartition.recursive import partition_hypergraph

@@ -57,11 +57,6 @@ class OrderingResult:
             return permute_symmetric(a, self.perm)
         return permute_rows(a, self.perm)
 
-    def with_time(self, seconds: float) -> "OrderingResult":
-        """Copy with the timing field filled in."""
-        return OrderingResult(self.algorithm, self.perm, self.symmetric,
-                              seconds)
-
 
 def identity_ordering(n: int) -> OrderingResult:
     """The original (unreordered) baseline."""

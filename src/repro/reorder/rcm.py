@@ -109,8 +109,3 @@ def rcm_ordering_reference(a: CSRMatrix,
 def cm_ordering(a: CSRMatrix) -> OrderingResult:
     """The plain (unreversed) Cuthill–McKee ordering."""
     return rcm_ordering(a, reverse=False)
-
-
-def cm_ordering_reference(a: CSRMatrix) -> OrderingResult:
-    """Scalar reference CM (pre-vectorisation implementation)."""
-    return rcm_ordering_reference(a, reverse=False)

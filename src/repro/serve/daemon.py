@@ -41,7 +41,7 @@ from ..machine.arch import get_architecture
 from ..obs.log import get_logger
 from ..obs.metrics import REGISTRY, snapshot_quantile
 from ..obs.trace import TRACER, new_span_id
-from .admission import AdmissionController, Rejection
+from .admission import AdmissionController
 from .batching import MicroBatcher
 from .protocol import (ProtocolError, error_body, ok_body,
                        parse_advise_request, reject_body)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ..errors import ReproError
 from ..spmv.registry import DEFAULT_WORKLOAD, KERNELS, WORKLOADS
 
 __all__ = [
@@ -57,7 +58,7 @@ _ALLOWED_KEYS = frozenset(
      "trace", "workload"})
 
 
-class ProtocolError(ValueError):
+class ProtocolError(ReproError):
     """A malformed advise request (maps to a 400 error response)."""
 
 

@@ -5,11 +5,10 @@ across every subsystem, so they live at the bottom of the import graph.
 """
 
 from .rng import as_rng, spawn_rng
-from .timing import Timer, time_call
+from .timing import Timer
 from .validate import (
     check_index_array,
     check_positive,
-    check_square,
     require,
 )
 from .tables import format_table, format_boxplot_rows
@@ -18,10 +17,8 @@ __all__ = [
     "as_rng",
     "spawn_rng",
     "Timer",
-    "time_call",
     "check_index_array",
     "check_positive",
-    "check_square",
     "require",
     "format_table",
     "format_boxplot_rows",

@@ -31,21 +31,3 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.elapsed = time.perf_counter() - self._start
-
-
-def time_call(fn, *args, repeats: int = 1, **kwargs):
-    """Call ``fn(*args, **kwargs)`` ``repeats`` times.
-
-    Returns ``(result, best_seconds)`` where ``result`` is the value of
-    the final call and ``best_seconds`` the minimum wall time observed —
-    matching the paper's use of best-of-N to suppress timing noise.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        best = min(best, time.perf_counter() - start)
-    return result, best

@@ -31,15 +31,6 @@ def check_positive(name: str, value, exc_type=MatrixFormatError):
     return value
 
 
-def check_square(nrows: int, ncols: int, exc_type=MatrixFormatError) -> None:
-    """Validate that a matrix is square (required by symmetric orderings)."""
-    require(
-        nrows == ncols,
-        exc_type,
-        f"matrix must be square, got {nrows} x {ncols}",
-    )
-
-
 def check_sorted_columns(rowptr: np.ndarray, colidx: np.ndarray,
                          exc_type=MatrixFormatError) -> None:
     """Validate the canonical-CSR column precondition.

@@ -34,8 +34,6 @@ def test_caches_hit_on_repeat_requests(model, corpus, arch):
     # same matrix, other kernel: advice missed, features reused
     advisor.advise(e.matrix, arch, "2d", matrix_name=e.name)
     assert advisor.stats["features"]["hits"] >= 1
-    advisor.clear_caches()
-    assert advisor.stats["advice"]["size"] == 0
 
 
 def test_iteration_budget_changes_cache_key(model, corpus, arch):

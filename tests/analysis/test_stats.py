@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import boxplot_summary, geomean, speedup_quartiles
+from repro.analysis import boxplot_summary, geomean
 from repro.errors import HarnessError
 
 
@@ -46,15 +46,3 @@ def test_boxplot_whiskers_exclude_outliers():
 def test_boxplot_empty_rejected():
     with pytest.raises(HarnessError):
         boxplot_summary([])
-
-
-def test_speedup_quartiles():
-    q1, med, q3 = speedup_quartiles(np.linspace(0.5, 1.5, 101))
-    assert q1 == pytest.approx(0.75)
-    assert med == pytest.approx(1.0)
-    assert q3 == pytest.approx(1.25)
-
-
-def test_speedup_quartiles_empty():
-    with pytest.raises(HarnessError):
-        speedup_quartiles([])

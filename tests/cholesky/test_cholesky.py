@@ -149,17 +149,6 @@ def test_fill_ratio_handles_missing_diagonal():
     assert ratio > 0
 
 
-def test_fill_ratios_per_ordering():
-    from repro.cholesky import fill_ratios_per_ordering
-    from repro.reorder import amd_ordering, gray_ordering
-
-    a = stencil_2d(6, seed=0)
-    out = fill_ratios_per_ordering(
-        a, {"AMD": amd_ordering(a), "Gray": gray_ordering(a)})
-    assert "original" in out and "AMD" in out
-    assert "Gray" not in out  # unsymmetric orderings skipped
-
-
 def test_postorder_invariance_of_fill():
     # postordering an elimination order must not change nnz(L)
     from repro.matrix import permute_symmetric

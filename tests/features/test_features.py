@@ -3,7 +3,6 @@ import pytest
 
 from repro.features import (
     bandwidth,
-    collect_features,
     imbalance_factor,
     offdiagonal_nonzeros,
     profile,
@@ -200,20 +199,6 @@ def test_drop_explicit_zeros_roundtrip(rng):
     assert np.array_equal(clean.to_dense(), dirty.to_dense())
     # clean matrices are returned as-is
     assert clean.drop_explicit_zeros() is clean
-
-
-def test_collect_features(rng):
-    a = random_csr(30, 120, rng)
-    rec = collect_features(a, 4)
-    assert rec.nrows == 30
-    assert rec.nnz == a.nnz
-    assert rec.bandwidth == bandwidth(a)
-    assert rec.profile == profile(a)
-    assert rec.offdiag_nnz == offdiagonal_nonzeros(a, 4)
-    assert rec.imbalance_1d >= 1.0
-    assert set(rec.as_dict()) == {
-        "nrows", "ncols", "nnz", "bandwidth", "profile", "offdiag_nnz",
-        "imbalance_1d"}
 
 
 def test_features_invariant_under_identity_perm(rng):

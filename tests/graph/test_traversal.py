@@ -3,12 +3,9 @@ import pytest
 
 from repro.graph import (
     bfs_levels,
-    bfs_order,
-    connected_components,
     graph_from_matrix,
     pseudo_peripheral_vertex,
 )
-from repro.graph.components import component_sizes
 from repro.matrix import csr_from_dense
 
 from .test_adjacency import path_graph
@@ -55,29 +52,6 @@ def test_bfs_levels_match_networkx(rng):
         assert lv[v] == d
 
 
-def test_bfs_order_visits_component_once():
-    g = grid_graph(4, 4)
-    order = bfs_order(g, 0)
-    assert sorted(order.tolist()) == list(range(16))
-
-
-def test_bfs_order_level_monotone():
-    g = grid_graph(4, 5)
-    order = bfs_order(g, 0)
-    lv = bfs_levels(g, 0)
-    assert np.all(np.diff(lv[order]) >= 0)
-
-
-def test_bfs_order_degree_sorted_within_level():
-    g = grid_graph(3, 3)
-    order = bfs_order(g, 0)
-    lv = bfs_levels(g, 0)
-    deg = g.degrees()
-    for level in range(int(lv.max()) + 1):
-        in_level = order[lv[order] == level]
-        assert np.all(np.diff(deg[in_level]) >= 0)
-
-
 def test_bfs_start_out_of_range():
     g = path_graph(3)
     with pytest.raises(IndexError):
@@ -95,27 +69,6 @@ def test_pseudo_peripheral_eccentricity_not_smaller():
     start = 7  # interior-ish
     v = pseudo_peripheral_vertex(g, start)
     assert bfs_levels(g, v).max() >= bfs_levels(g, start).max()
-
-
-def test_connected_components_single():
-    g = grid_graph(3, 4)
-    comp = connected_components(g)
-    assert comp.max() == 0
-    assert component_sizes(comp)[0] == 12
-
-
-def test_connected_components_multiple():
-    dense = np.zeros((6, 6))
-    dense[0, 1] = dense[1, 0] = 1.0
-    dense[2, 3] = dense[3, 2] = 1.0
-    # 4, 5 isolated
-    g = graph_from_matrix(csr_from_dense(dense))
-    comp = connected_components(g)
-    assert comp[0] == comp[1]
-    assert comp[2] == comp[3]
-    assert comp[0] != comp[2]
-    assert len(set(comp.tolist())) == 4
-    assert np.array_equal(component_sizes(comp), [2, 2, 1, 1])
 
 
 def test_isolated_vertex_peripheral():

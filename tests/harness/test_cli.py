@@ -75,6 +75,20 @@ def test_sweep_tables_refuse_an_incomplete_sweep(capsys, tmp_path):
     assert f"no record for {first}/ND/1d/Rome" in captured.err
 
 
+def test_sweep_with_failed_cells_exits_1(capsys, tmp_path):
+    # an unknown ordering fails every cell; no flag is needed to see it
+    assert main(["sweep", "--tier", "tiny", "--limit", "1",
+                 "--archs", "Rome", "--orderings", "NOPE",
+                 "--cache", str(tmp_path / "cache"),
+                 "--metrics", "", "--manifest", ""]) == 1
+    assert "failed" in capsys.readouterr().out
+
+
+def test_sweep_strict_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit):
+        main(_sweep_args(tmp_path, "--strict"))
+
+
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         main([])

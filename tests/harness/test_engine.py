@@ -158,6 +158,53 @@ def test_journal_load_empty_file_is_no_completed_cells(tmp_path):
     assert SweepJournal.load(str(path)) == (None, {}, [])
 
 
+def _record_entry(**overrides) -> dict:
+    data = {"matrix": "m", "ordering": "RCM", "kernel": "1d",
+            "architecture": "Rome", "nthreads": 4, "nnz_min": 1,
+            "nnz_max": 3, "nnz_mean": 2.0, "imbalance": 1.5,
+            "seconds": 1e-6, "gflops_max": 2.5, "gflops_mean": 2.0,
+            "workload": "spmv"}
+    data.update(overrides)
+    cell = [data["matrix"], data["ordering"], data["kernel"],
+            data["architecture"]]
+    return {"type": "record", "cell": cell, "data": data}
+
+
+def _write_journal(path, *lines: bytes) -> None:
+    header = json.dumps({"type": "header", "signature": {"seed": 0}})
+    path.write_bytes(b"\n".join([header.encode(), *lines]) + b"\n")
+
+
+def test_journal_load_skips_non_utf8_lines(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    good = _record_entry()
+    _write_journal(path, b'{"type": "record", "cell": ["\xff"]}',
+                   json.dumps(good).encode())
+    signature, records, _ = SweepJournal.load(str(path))
+    assert signature == {"seed": 0}
+    assert list(records) == [tuple(good["cell"])]
+
+
+def test_journal_load_skips_ill_typed_or_mismatched_records(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    good = _record_entry()
+    all_strings = _record_entry(matrix="x")
+    all_strings["data"] = {k: str(v) for k, v in all_strings["data"].items()}
+    all_strings["cell"] = ["y", "RCM", "1d", "Rome"]
+    wrong_cell = dict(_record_entry(matrix="z"),
+                      cell=["other", "RCM", "1d", "Rome"])
+    bad = [all_strings, wrong_cell,
+           _record_entry(matrix="s", nthreads="4"),
+           _record_entry(matrix="b", nnz_max=True),
+           _record_entry(matrix="i", seconds=float("inf")),
+           _record_entry(matrix="n", gflops_max=float("nan"))]
+    _write_journal(path, *(json.dumps(e).encode() for e in bad),
+                   json.dumps(good).encode())
+    _, records, _ = SweepJournal.load(str(path))
+    assert list(records) == [tuple(good["cell"])]
+    assert records[tuple(good["cell"])].nthreads == 4
+
+
 def test_resume_from_zero_byte_journal_starts_fresh(
         tiny_corpus, rome, tmp_path):
     # a sweep killed before its header flushed leaves a 0-byte file;

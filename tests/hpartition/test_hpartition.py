@@ -5,7 +5,6 @@ from repro.errors import PartitionError
 from repro.generators import circuit_matrix, fem_mesh_2d, stencil_2d
 from repro.graph import column_net_hypergraph
 from repro.hpartition import (
-    connectivity_minus_one,
     cutnet,
     hbisect,
     hyper_balance,
@@ -27,7 +26,6 @@ def test_cutnet_known_value():
     h = column_net_hypergraph(csr_from_dense(dense))
     part = np.array([0, 1])
     assert cutnet(h, part) == 1  # only column 2 is cut
-    assert connectivity_minus_one(h, part) == 1
 
 
 def test_cutnet_zero_when_together():
@@ -39,12 +37,6 @@ def test_cutnet_zero_when_together():
 def test_cutnet_bad_assignment(mesh_hg):
     with pytest.raises(PartitionError):
         cutnet(mesh_hg, np.zeros(3, dtype=np.int64))
-
-
-def test_connectivity_lower_bounds_cutnet(mesh_hg):
-    part = partition_hypergraph(mesh_hg, 4, rng=np.random.default_rng(0))
-    # every cut net spans >= 2 parts so lambda-1 >= cutnet
-    assert connectivity_minus_one(mesh_hg, part) >= cutnet(mesh_hg, part)
 
 
 def test_matching_validity(mesh_hg):

@@ -59,13 +59,6 @@ def test_empty_matrix():
     assert m.to_dense().shape == (0, 0)
 
 
-def test_with_values_preserves_pattern():
-    m = coo_from_arrays(2, 2, [0, 1], [1, 0], [1.0, 2.0])
-    m2 = m.with_values(np.array([9.0, 8.0]))
-    assert np.array_equal(m2.row, m.row)
-    assert np.array_equal(m2.values, [9.0, 8.0])
-
-
 def test_negative_dimensions_rejected():
     with pytest.raises(MatrixFormatError):
         COOMatrix(-1, 2, np.array([], dtype=np.int64),

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from repro.errors import HarnessError
 from repro.harness.cli import main
 from repro.obs.perf import (BenchLedger, _geomean, _worse_ratio,
                             bench_record, compare_ledgers,
@@ -65,7 +66,37 @@ def test_ledger_append_and_latest(tmp_path):
 def test_ledger_rejects_foreign_json(tmp_path):
     path = tmp_path / "not_a_ledger.json"
     path.write_text('{"traceEvents": []}')
-    with pytest.raises(ValueError, match="not a bench ledger"):
+    with pytest.raises(HarnessError, match="not a bench ledger"):
+        BenchLedger(str(path)).load()
+
+
+def test_ledger_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "BENCH_tiny.json"
+    path.write_bytes(b'{"records": [], "version": 1, "x": "\xff"}')
+    with pytest.raises(HarnessError, match="unreadable bench ledger"):
+        BenchLedger(str(path)).load()
+
+
+@pytest.mark.parametrize("record", [
+    "not-a-record",
+    {"name": 3, "metrics": {}},
+    {"name": "b", "metrics": []},
+    {"name": "b", "metrics": {"m": {"value": "1.0", "unit": "s"}}},
+    {"name": "b", "metrics": {"m": {"value": True, "unit": "s"}}},
+    {"name": "b", "metrics": {"m": {"value": 1.0, "polarity": "up"}}},
+])
+def test_ledger_rejects_ill_shaped_records(tmp_path, record):
+    path = tmp_path / "BENCH_tiny.json"
+    path.write_text(json.dumps({"version": 1, "records": [record]}))
+    with pytest.raises(HarnessError, match="record 0 is not a well-formed"):
+        BenchLedger(str(path)).load()
+
+
+def test_ledger_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "BENCH_tiny.json"
+    path.write_text('{"version": 1, "records": [{"name": "b", '
+                    '"metrics": {"m": {"value": NaN, "unit": "s"}}}]}')
+    with pytest.raises(HarnessError, match="record 0 is not a well-formed"):
         BenchLedger(str(path)).load()
 
 
@@ -166,14 +197,16 @@ def test_unknown_builtin_bench_rejected():
 def test_builtin_sweep_record_and_seeded_regression(tmp_path):
     base = BenchLedger(str(tmp_path / "base.json"))
     cur = BenchLedger(str(tmp_path / "cur.json"))
-    base.append(run_builtin_bench("sweep", k=1))
+    # min-of-3 keeps scheduler noise on a ~10 ms sweep from hiding
+    # the seeded 2x slowdown below
+    base.append(run_builtin_bench("sweep", k=3))
     # bit-identical code, same seed: exact metrics cannot regress
-    cur.append(run_builtin_bench("sweep", k=1))
+    cur.append(run_builtin_bench("sweep", k=3))
     clean = compare_ledgers(cur, base, kinds=("exact",))
     assert clean["regressions"] == []
     # the synthetic ~2x slowdown must trip the time gate
     slow = BenchLedger(str(tmp_path / "slow.json"))
-    slow.append(run_builtin_bench("sweep", k=1, slowdown=2.0))
+    slow.append(run_builtin_bench("sweep", k=3, slowdown=2.0))
     bad = compare_ledgers(slow, base, kinds=("time",))
     assert bad["regressions"], render_comparison(bad)
     assert all(r["ratio"] > 1.15 for r in bad["regressions"])

@@ -6,7 +6,6 @@ from repro.graph import graph_from_matrix
 from repro.partition.matching import (
     heavy_edge_matching,
     matching_to_coarse_map,
-    random_matching,
 )
 
 
@@ -38,11 +37,6 @@ def test_heavy_edge_matching_valid(grid_graph):
 
 def test_heavy_edge_matching_valid_er(er_graph):
     match = heavy_edge_matching(er_graph, rng=np.random.default_rng(0))
-    assert_valid_matching(er_graph, match)
-
-
-def test_random_matching_valid(er_graph):
-    match = random_matching(er_graph, rng=np.random.default_rng(0))
     assert_valid_matching(er_graph, match)
 
 

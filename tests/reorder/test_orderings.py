@@ -251,3 +251,15 @@ def test_gray_groups_similar_sparse_rows():
     bm = row_bitmaps(a)
     ranks = gray_rank(bm[r.perm])
     assert np.all(np.diff(ranks) >= 0)  # sorted by gray rank
+
+
+def test_gray_does_not_increase_adjacent_row_length_changes():
+    """Density grouping puts rows of equal length next to each other,
+    so consecutive rows change length no more often than before."""
+    a = circuit_matrix(600, seed=0)
+    b = gray_ordering(a).apply(a)
+
+    def changes(m):
+        return int(np.count_nonzero(np.diff(m.row_lengths())))
+
+    assert changes(b) <= changes(a)

@@ -35,12 +35,5 @@ def test_invalid_perm_rejected():
         OrderingResult("bad", np.array([0, 3]), symmetric=True)
 
 
-def test_with_time():
-    r = OrderingResult("x", np.arange(4), True)
-    r2 = r.with_time(1.5)
-    assert r2.seconds == 1.5
-    assert np.array_equal(r2.perm, r.perm)
-
-
 def test_n_property():
     assert identity_ordering(7).n == 7

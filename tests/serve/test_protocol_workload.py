@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ReproError
 from repro.serve.protocol import ProtocolError, parse_advise_request
 from repro.spmv.registry import KERNELS as REGISTRY_KERNELS
 from repro.spmv.registry import WORKLOADS as REGISTRY_WORKLOADS
@@ -33,6 +34,12 @@ def test_unknown_workload_rejected():
 def test_non_string_workload_rejected():
     with pytest.raises(ProtocolError, match="workload"):
         _parse({"matrix": "m", "workload": 7})
+
+
+@pytest.mark.parametrize("body", [b"\xff\xfe", b"[1, 2]", b"{"])
+def test_malformed_bodies_raise_a_repro_error(body):
+    with pytest.raises(ReproError):
+        parse_advise_request(body, peer="peer")
 
 
 def test_protocol_vocabulary_is_the_registry():

@@ -7,12 +7,10 @@ from repro.util import (
     as_rng,
     check_index_array,
     check_positive,
-    check_square,
     format_boxplot_rows,
     format_table,
     require,
     spawn_rng,
-    time_call,
 )
 
 
@@ -45,17 +43,6 @@ def test_timer_measures():
     assert t.elapsed > 0
 
 
-def test_time_call_returns_result_and_best():
-    result, best = time_call(lambda: 42, repeats=3)
-    assert result == 42
-    assert best >= 0
-
-
-def test_time_call_rejects_zero_repeats():
-    with pytest.raises(ValueError):
-        time_call(lambda: 0, repeats=0)
-
-
 def test_require_raises_repro_errors_only():
     with pytest.raises(TypeError):
         require(False, ValueError, "nope")
@@ -68,12 +55,6 @@ def test_check_positive():
     assert check_positive("x", 3) == 3
     with pytest.raises(ReproError):
         check_positive("x", 0)
-
-
-def test_check_square():
-    check_square(4, 4)
-    with pytest.raises(ReproError):
-        check_square(3, 4)
 
 
 def test_check_index_array_converts_dtype():
