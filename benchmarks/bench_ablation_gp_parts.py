@@ -9,8 +9,6 @@ boundaries.
 
 import time
 
-import numpy as np
-
 from repro.analysis import geomean
 from repro.machine import PerfModel, get_architecture, simulate_measurement
 from repro.obs.perf import metric

@@ -10,10 +10,7 @@ twice.
 
 import time
 
-import numpy as np
-
 from repro.analysis import geomean
-from repro.harness import OrderingCache
 from repro.machine import NumaModel, get_architecture
 from repro.obs.perf import metric
 from repro.spmv import schedule_1d

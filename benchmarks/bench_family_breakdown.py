@@ -6,8 +6,6 @@ of the corpus: meshes and circuits benefit, already-ordered matrices do
 not, and the no-structure random family cannot be helped by anyone.
 """
 
-import numpy as np
-
 from repro.analysis import geomean
 from repro.util import format_table
 

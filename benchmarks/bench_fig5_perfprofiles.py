@@ -9,8 +9,6 @@ off-diagonal profile — key finding 5.
 
 import time
 
-import numpy as np
-
 from repro.analysis import profile_at
 from repro.harness import experiment_feature_profiles
 from repro.harness.report import render_profile_figure

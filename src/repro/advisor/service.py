@@ -107,7 +107,6 @@ class Advisor:
     def advise_many(self, matrices: list, arch: Architecture,
                     kernel: str = "1d", names: list | None = None,
                     iterations: float | None = None,
-                    max_workers: int | None = None,
                     trace_ctxs: list | None = None,
                     workload: str = DEFAULT_WORKLOAD) -> list:
         """Batch interface: one ranked list per input matrix.
@@ -116,10 +115,9 @@ class Advisor:
         entries exposing ``.matrix``/``.name``); ``names`` optionally
         labels bare matrices for cache keying.  Feature extraction for
         distinct matrices runs in parallel on the instance's reusable
-        pool (sized by the ``workers`` constructor knob); passing
-        ``max_workers`` forces a one-off pool of that size instead.
-        A single matrix is advised on the caller's thread: a pool
-        buys no parallelism for one item, only a thread hop.
+        pool (sized by the ``workers`` constructor knob).  A single
+        matrix is advised on the caller's thread: a pool buys no
+        parallelism for one item, only a thread hop.
 
         ``trace_ctxs`` optionally aligns a ``(trace_id, parent_id)``
         tuple (or ``None``) with each matrix; the serving daemon passes
@@ -155,9 +153,6 @@ class Advisor:
 
         if len(mats) == 1:
             return [one(0)]
-        if max_workers is not None:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(one, range(len(mats))))
         return list(self._executor().map(one, range(len(mats))))
 
     # ------------------------------------------------------------------

@@ -4,14 +4,14 @@ The model has two layers of "clever" code that must stay bit-identical
 to their naive definitions:
 
 * the **reuse primitives** (:mod:`repro.machine.reuse`) — one-argsort
-  previous-occurrence arrays, vectorised per-window distinct counts and
-  merge-counted LRU stack distances.  Each is cross-validated against a
-  naive per-element Python oracle (dict of last positions, per-window
-  sets, an explicit LRU stack);
+  previous-occurrence arrays and merge-counted LRU stack distances.
+  Each is cross-validated against a naive per-element Python oracle
+  (dict of last positions, an explicit LRU stack);
 * the **batched fast path** — ``predict_many`` / ``simulate_many``
   share one :class:`ReuseStats` pass and memoised schedules; their
   output must equal naive per-cell evaluation with ``fastpath=False``
-  reference models, cell by cell, bit for bit.
+  reference models, cell by cell, bit for bit.  This also covers the
+  per-window distinct counting the vectorised pass inlines.
 
 The memoised :class:`ReuseStats` container is additionally checked
 against a from-scratch rebuild on an equal-but-distinct matrix object,
@@ -46,13 +46,6 @@ def _naive_prev(stream) -> np.ndarray:
         prev[i] = last.get(int(v), -1)
         last[int(v)] = i
     return prev
-
-
-def _naive_windowed_distinct(stream, window: int) -> int:
-    total = 0
-    for start in range(0, len(stream), window):
-        total += len(set(int(v) for v in stream[start:start + window]))
-    return total
 
 
 def _naive_stack_distances(stream) -> np.ndarray:
@@ -90,16 +83,6 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
                 "prev-occurrence-matches-naive", subject,
                 "argsort-based previous-occurrence differs from the "
                 "dict-of-last-positions oracle")
-
-            for window in (1, 7, 64):
-                got = reuse_mod.windowed_distinct_loads(prev, window)
-                naive = _naive_windowed_distinct(small, window)
-                report.check(
-                    got == naive, SUITE,
-                    "windowed-distinct-matches-naive",
-                    f"{subject} window={window}",
-                    f"vectorised count {got} != per-window set oracle "
-                    f"{naive}")
 
             got = reuse_mod.stack_distances(prev)
             naive = _naive_stack_distances(small)

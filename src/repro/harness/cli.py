@@ -209,7 +209,8 @@ def _table_title(kernel: str) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    from ..errors import HarnessError
+    from ..errors import HarnessError, ReorderingError
+    from ..reorder.registry import check_ordering_names
     from ..util.timing import Timer
     from .engine import SweepEngine
     from .experiments import REORDERINGS, experiment_speedups
@@ -217,6 +218,13 @@ def _cmd_sweep(args) -> int:
                          render_sweep_summary)
     from .runner import OrderingCache
 
+    orderings = (args.orderings.split(",") if args.orderings
+                 else list(REORDERINGS))
+    try:
+        check_ordering_names(orderings)
+    except ReorderingError as exc:
+        log.error("sweep: %s", exc)
+        return 2
     snapshot = None
     with Timer() as t_gen:
         if args.corpus:
@@ -233,8 +241,6 @@ def _cmd_sweep(args) -> int:
     archs = [get_architecture(n)
              for n in (args.archs.split(",")
                        if args.archs else architecture_names())]
-    orderings = (args.orderings.split(",") if args.orderings
-                 else list(REORDERINGS))
     kernels = tuple(args.kernels.split(","))
     if args.trace:
         # stream every finished span to a sidecar JSONL next to the

@@ -75,6 +75,7 @@ from ..obs import manifest as _manifest
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
                          set_trace_context, span)
+from ..reorder.registry import check_ordering_names
 
 JOURNAL_VERSION = 1
 
@@ -427,19 +428,17 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                       arch.name) in task.pending]
         if not wanted:
             return
-        reuse = None
-        if any(model.fastpath for _, model, _ in wanted):
-            # materialise the shared statistics up front so their cost
-            # lands in the reuse_stats stage, not a random first cell
-            hot_lines = sorted({arch.line_size // 8
-                                for arch, model, _ in wanted
-                                if model.fastpath and model.locality_term})
-            t0 = time.perf_counter()
-            with span("reuse_stats", matrix=entry.name,
-                      ordering=ordering_name):
-                reuse = ReuseStats.for_matrix(matrix)
-                reuse.prepare(hot_lines if matrix.nnz else ())
-            timings["reuse_stats"] += time.perf_counter() - t0
+        # materialise the shared statistics up front so their cost
+        # lands in the reuse_stats stage, not a random first cell
+        hot_lines = sorted({arch.line_size // 8
+                            for arch, model, _ in wanted
+                            if model.locality_term})
+        t0 = time.perf_counter()
+        with span("reuse_stats", matrix=entry.name,
+                  ordering=ordering_name):
+            reuse = ReuseStats.for_matrix(matrix)
+            reuse.prepare(hot_lines if matrix.nnz else ())
+        timings["reuse_stats"] += time.perf_counter() - t0
         for arch, model, kernel in wanted:
             cell = (entry.name, ordering_name, kernel, arch.name)
             t0 = time.perf_counter()
@@ -450,8 +449,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                              arch=arch.name):
                     rec = simulate_measurement(
                         matrix, arch, kernel, entry.name, ordering_name,
-                        model=model,
-                        reuse=reuse if model.fastpath else None)
+                        model=model, reuse=reuse)
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 failures.append(FailedCell(
                     matrix=entry.name, ordering=ordering_name,
@@ -539,7 +537,9 @@ class SweepEngine:
     corpus, architectures, orderings, kernels, seed:
         The grid: corpus entries × architectures × ordering names (the
         ``"original"`` baseline is always measured) × kernel kinds or
-        workload specs, with the orderings' seed.
+        workload specs, with the orderings' seed.  An unregistered
+        ordering name raises :class:`~repro.errors.ReorderingError`
+        here, before any cell runs.
     cache:
         The :class:`~repro.harness.runner.OrderingCache` an inline run
         fills (a fresh in-memory one when ``None``); pool workers open
@@ -600,6 +600,7 @@ class SweepEngine:
         if shard_bytes is not None and shard_bytes <= 0:
             raise HarnessError(
                 f"shard_bytes must be positive, got {shard_bytes}")
+        check_ordering_names(orderings)
         self.corpus = list(corpus)
         self.architectures = list(architectures)
         self.orderings = [o for o in orderings if o != "original"]

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 from ..matrix.csr import CSRMatrix
 from ..spmv.registry import resolve_workload
-from ..spmv.schedule import (
-    get_schedule,
-    schedule_1d,
-    schedule_2d,
-    schedule_merge,
-)
+from ..spmv.schedule import build_schedule, get_schedule
 from .arch import Architecture
 from .model import PerfModel
 from .reuse import ReuseStats
@@ -85,12 +80,8 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
     model = model if model is not None else PerfModel(arch)
     if model.fastpath:
         schedule = get_schedule(a, kind, arch.threads)
-    elif kind == "1d":
-        schedule = schedule_1d(a, arch.threads)
-    elif kind == "2d":
-        schedule = schedule_2d(a, arch.threads)
     else:
-        schedule = schedule_merge(a, arch.threads)
+        schedule = build_schedule(a, kind, arch.threads)
     pred = model.predict(a, schedule, reuse=reuse)
     if workload == "spmv":
         seconds, gflops = pred.seconds, pred.gflops
@@ -120,8 +111,7 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
 
 
 def simulate_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
-                  matrix_name: str = "", ordering_name: str = "",
-                  model_factory=None) -> list:
+                  matrix_name: str = "", ordering_name: str = "") -> list:
     """Batched :func:`simulate_measurement` over architectures × kernels.
 
     One :class:`ReuseStats` pass serves every cell, and schedules are
@@ -136,9 +126,8 @@ def simulate_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
     that workload on the same schedule — so sweeps extend to the new
     workloads by listing them on their existing kernel axis.
     """
-    factory = model_factory or PerfModel
     reuse = ReuseStats.for_matrix(a)
     return [simulate_measurement(a, arch, kernel, matrix_name,
-                                 ordering_name, model=factory(arch),
+                                 ordering_name, model=PerfModel(arch),
                                  reuse=reuse)
             for arch in architectures for kernel in kernels]

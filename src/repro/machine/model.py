@@ -35,10 +35,20 @@ lower instruction throughput (the paper notes their weak baseline ILP
 and their large 2D-algorithm gains, §4.3).
 
 The corpus is ~3 orders of magnitude smaller than the paper's matrices,
-so cache capacities are scaled down by ``cache_scale`` to keep the
+so cache capacities are scaled down by ``DEFAULT_CACHE_SCALE`` to keep the
 cache-resident/cache-exceeding boundary at the same relative position
 (DESIGN.md §2).  The model is deterministic: the goal is the *shape* of
 the paper's results (who wins, where, and why), not absolute Gflop/s.
+
+:meth:`PerfModel.predict` has two paths to the per-thread times: the
+vectorised all-threads pass (``fastpath=True``, fed by the memoised
+:class:`~repro.machine.reuse.ReuseStats`) and the per-thread scalar
+reference (``fastpath=False``, per-window ``np.unique``), which the
+golden-equivalence suite and ``repro check --suites model`` hold the
+fast pass to bit for bit.  Both finish through one per-thread hook,
+:meth:`PerfModel._finish_times`, which subclasses override to add a
+term to every thread's time (:class:`~repro.machine.numa.NumaModel`'s
+remote-x surcharge).
 """
 
 from __future__ import annotations
@@ -52,12 +62,7 @@ from ..obs.metrics import REGISTRY
 from ..obs.trace import span
 from ..spmv.schedule import Schedule, get_schedule
 from .arch import Architecture
-from .reuse import (
-    ReuseStats,
-    distinct_count,
-    prev_occurrence,
-    windowed_distinct_loads,
-)
+from .reuse import ReuseStats
 
 #: bytes per stored nonzero streamed each iteration: 8 (value) + 4
 #: (column index, 32-bit as in the paper §4.1)
@@ -129,25 +134,21 @@ class PerfModel:
         charges one x line fetch per nonzero regardless of ordering;
         disabling the imbalance term replaces max-over-threads with the
         mean.
-    cache_scale:
-        Cache size scale-down matching the corpus scale-down.
     fastpath:
-        Serve the x-traffic and branch-irregularity statistics from the
-        memoised per-matrix :class:`~repro.machine.reuse.ReuseStats`
-        (and schedules from the per-matrix schedule cache).  The
-        predictions are bit-identical either way; ``False`` keeps the
-        original per-cell recomputation as a reference implementation
-        for the golden-equivalence tests and the fast-path benchmark.
+        ``True`` runs the vectorised all-threads pass on the memoised
+        per-matrix :class:`~repro.machine.reuse.ReuseStats` (and
+        schedules from the per-matrix schedule cache).  ``False`` runs
+        the per-thread scalar reference, which the golden-equivalence
+        tests and the fast-path benchmark compare against; the
+        predictions are bit-identical either way.
     """
 
     def __init__(self, arch: Architecture, locality_term: bool = True,
                  imbalance_term: bool = True,
-                 cache_scale: float = DEFAULT_CACHE_SCALE,
                  fastpath: bool = True) -> None:
         self.arch = arch
         self.locality_term = locality_term
         self.imbalance_term = imbalance_term
-        self.cache_scale = cache_scale
         self.fastpath = fastpath
         self._cpi = _CPI_FLOP[arch.isa]
         self._row_cycles = _CYCLES_PER_ROW[arch.isa]
@@ -159,11 +160,11 @@ class PerfModel:
     def _l2_lines(self) -> int:
         """x-line capacity of the (scaled) per-core L2 window."""
         return max(int(self.arch.l2_per_core * CACHE_UTILISATION
-                       * self.cache_scale // self.arch.line_size), 8)
+                       * DEFAULT_CACHE_SCALE // self.arch.line_size), 8)
 
     def _llc_bytes(self) -> float:
         """Usable (scaled) machine-wide last-level cache capacity."""
-        return self.arch.l3_total * CACHE_UTILISATION * self.cache_scale
+        return self.arch.l3_total * CACHE_UTILISATION * DEFAULT_CACHE_SCALE
 
     def llc_residency(self, a: CSRMatrix) -> float:
         """Fraction of the SpMV working set resident in the scaled LLC."""
@@ -174,53 +175,13 @@ class PerfModel:
                      + (RESIDENCY_CAP - RESIDENCY_FLOOR) * raw)
 
     # ------------------------------------------------------------------
-    # x-traffic model
+    # per-thread scalar reference
     # ------------------------------------------------------------------
     def _x_line_loads(self, cols: np.ndarray) -> int:
         """Modelled x line fetches (beyond L1/L2) for one thread's
-        column-index stream, via the windowed working-set model.
-
-        One-shot entry point (used by the model/simulator validation
-        probe): builds the previous-occurrence array for this stream
-        and delegates to the shared vectorised implementation."""
-        if cols.size == 0:
-            return 0
-        if not self.locality_term:
-            return int(cols.size)
-        lines = cols // (self.arch.line_size // 8)
-        return self._loads_from_prev(prev_occurrence(lines), 0, cols.size)
-
-    def _loads_from_prev(self, prev: np.ndarray, lo: int, hi: int,
-                         reuse: ReuseStats | None = None) -> int:
-        """Windowed working-set loads for stream positions [lo, hi),
-        from the previous-occurrence array — bit-identical to (and the
-        vectorised O(nnz) replacement of) the historical per-window
-        ``np.unique`` loop kept in :meth:`_x_line_loads_loop`."""
-        n = hi - lo
-        if n == 0:
-            return 0
-        if not self.locality_term:
-            return int(n)
-        capacity_lines = self._l2_lines()
-        distinct_total = distinct_count(prev, lo, hi)
-        if distinct_total <= capacity_lines:
-            return distinct_total
-        # capacity regime: estimate how many accesses fill the window,
-        # then charge each window its distinct lines
-        density = distinct_total / n  # new-line probability
-        window = max(int(capacity_lines / max(density, 0.05)),
-                     capacity_lines)
-        positions = reuse.positions(n) if reuse is not None else None
-        loads = windowed_distinct_loads(prev, window, lo, hi,
-                                        positions=positions)
-        # compulsory fetches in full, capacity reloads damped
-        return int(distinct_total
-                   + LOCALITY_WEIGHT * (loads - distinct_total))
-
-    def _x_line_loads_loop(self, cols: np.ndarray) -> int:
-        """The original per-window ``np.unique`` implementation, kept
-        verbatim as the reference the fast path must match bit-for-bit
-        (golden-equivalence tests, ``bench_model_fastpath``)."""
+        column-index stream, via the windowed working-set model: one
+        ``np.unique`` per cache-sized window.  The scalar reference
+        and the model/simulator validation probe both use it."""
         if cols.size == 0:
             return 0
         lines = cols // (self.arch.line_size // 8)
@@ -230,29 +191,25 @@ class PerfModel:
         distinct_total = int(np.unique(lines).size)
         if distinct_total <= capacity_lines:
             return distinct_total
-        density = distinct_total / cols.size
+        # capacity regime: estimate how many accesses fill the window,
+        # then charge each window its distinct lines
+        density = distinct_total / cols.size  # new-line probability
         window = max(int(capacity_lines / max(density, 0.05)),
                      capacity_lines)
         loads = 0
         for start in range(0, cols.size, window):
             loads += int(np.unique(lines[start:start + window]).size)
+        # compulsory fetches in full, capacity reloads damped
         return int(distinct_total
                    + LOCALITY_WEIGHT * (loads - distinct_total))
 
-    # ------------------------------------------------------------------
-    # per-thread cost
-    # ------------------------------------------------------------------
     def _thread_time(self, a: CSRMatrix, schedule: Schedule, t: int,
-                     resid: float, reuse: ReuseStats | None = None,
-                     prev: np.ndarray | None = None) -> tuple:
+                     resid: float) -> tuple:
         lo, hi = schedule.thread_entry_range(t)
         nnz_t = hi - lo
         rows_t = max(int(schedule.row_start[t + 1] - schedule.row_start[t]),
                      1 if nnz_t else 0)
-        if prev is not None:
-            x_loads = self._loads_from_prev(prev, lo, hi, reuse=reuse)
-        else:
-            x_loads = self._x_line_loads_loop(a.colidx[lo:hi])
+        x_loads = self._x_line_loads(a.colidx[lo:hi])
         bytes_t = (BYTES_PER_NNZ * nnz_t + BYTES_PER_ROW * rows_t
                    + X_BYTES_PER_LOAD * x_loads)
         dram_bw = (self.arch.per_thread_bandwidth(schedule.nthreads)
@@ -266,33 +223,30 @@ class PerfModel:
         time_lat = (x_loads * (1.0 - resid) * MEMORY_LATENCY_S
                     / MEMORY_PARALLELISM)
         # compute roofline with branch-irregularity penalty
-        if reuse is not None:
-            changes = reuse.row_change_count(int(schedule.row_start[t]),
-                                             int(schedule.row_start[t + 1]))
+        lengths = np.diff(a.rowptr[int(schedule.row_start[t]):
+                                   int(schedule.row_start[t + 1]) + 1])
+        if lengths.size > 1:
+            changes = int(np.count_nonzero(np.diff(lengths)))
         else:
-            lengths = np.diff(a.rowptr[int(schedule.row_start[t]):
-                                       int(schedule.row_start[t + 1]) + 1])
-            if lengths.size > 1:
-                changes = int(np.count_nonzero(np.diff(lengths)))
-            else:
-                changes = 0
+            changes = 0
         cycles = (self._cpi * nnz_t + self._row_cycles * rows_t
                   + self._mispredict * changes)
         time_cpu = cycles / (self.arch.freq_ghz * 1e9)
         return max(time_mem + time_lat, time_cpu), x_loads, bytes_t
 
     # ------------------------------------------------------------------
-    # batched (all-threads-at-once) fast path
+    # vectorised all-threads fast path
     # ------------------------------------------------------------------
     def _x_loads_batch(self, schedule: Schedule, reuse: ReuseStats,
                        prev: np.ndarray, nnz_t: np.ndarray) -> np.ndarray:
         """Per-thread x line loads for every thread at once.
 
-        Same windowed working-set model as :meth:`_loads_from_prev`,
-        with the per-thread slices handled by one pass over the entry
-        stream (thread ids via ``repeat``, per-thread counts via
-        ``bincount``) — bit-identical results, no per-thread Python
-        loop.
+        Same windowed working-set model as :meth:`_x_line_loads`, with
+        the per-thread slices handled by one pass over the entry stream
+        (thread ids via ``repeat``, per-thread counts via ``bincount``).
+        Position ``i`` is the first access to its line inside a slice
+        (or window) starting at ``s`` exactly when ``prev[i] < s``, so
+        the counts equal the per-window ``np.unique`` sizes.
         """
         n = prev.size
         tcount = schedule.nthreads
@@ -324,7 +278,7 @@ class PerfModel:
 
         Elementwise float64 operations in the same order as
         :meth:`_thread_time`, so ``(times, x_loads, bytes)`` are
-        bit-identical to the per-thread loop (asserted by the
+        bit-identical to the per-thread reference (asserted by the
         golden-equivalence suite).
         """
         tcount = schedule.nthreads
@@ -357,6 +311,14 @@ class PerfModel:
         time_cpu = cycles / (self.arch.freq_ghz * 1e9)
         return np.maximum(time_mem + time_lat, time_cpu), x_loads, bytes_t
 
+    def _finish_times(self, a: CSRMatrix, schedule: Schedule,
+                      times: np.ndarray, x_loads: np.ndarray,
+                      resid: float) -> np.ndarray:
+        """Per-thread hook both paths finish through: subclasses add a
+        term to every thread's time (``x_loads`` holds each thread's
+        modelled line fetches).  The base model adds nothing."""
+        return times
+
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
@@ -368,62 +330,51 @@ class PerfModel:
         omitted (and ``fastpath`` is on) the memoised per-matrix stats
         are used, so repeated predictions on the same matrix object —
         across architectures, kernels and thread counts — share one
-        previous-occurrence pass instead of re-deriving line ids and
-        per-window distinct counts per cell.
+        previous-occurrence pass.  The scalar reference ignores it.
         """
         REGISTRY.counter("model.predicts").inc()
-        prev = None
+        resid = self.llc_residency(a)
         if self.fastpath:
             if reuse is None:
                 reuse = ReuseStats.for_matrix(a)
+            prev = None
             if self.locality_term and a.nnz:
                 prev = reuse.prev(self.arch.line_size // 8)
-        else:
-            reuse = None
-        resid = self.llc_residency(a)
-        if (reuse is not None
-                and type(self)._thread_time is PerfModel._thread_time):
-            times, loads_t, bytes_arr = self._predict_batch(
+            times, x_loads, bytes_t = self._predict_batch(
                 a, schedule, reuse, prev, resid)
-            loads = int(loads_t.sum())
-            # cumsum accumulates left-to-right like the loop below, so
-            # the float result is bit-identical to the per-thread sum
-            total_bytes = float(np.cumsum(bytes_arr)[-1])
         else:
-            times = np.zeros(schedule.nthreads)
-            loads = 0
-            total_bytes = 0.0
-            for t in range(schedule.nthreads):
-                times[t], x_loads, bytes_t = self._thread_time(
-                    a, schedule, t, resid, reuse=reuse, prev=prev)
-                loads += x_loads
-                total_bytes += bytes_t
+            per_thread = [self._thread_time(a, schedule, t, resid)
+                          for t in range(schedule.nthreads)]
+            times, x_loads, bytes_t = map(np.array, zip(*per_thread))
+        times = self._finish_times(a, schedule, times, x_loads, resid)
         if self.imbalance_term:
             seconds = float(times.max())
         else:
             seconds = float(times.mean())
         seconds = max(seconds, 1e-12)
         gflops = 2.0 * a.nnz / seconds / 1e9
+        # cumsum accumulates left to right, thread by thread
+        total_bytes = float(np.cumsum(bytes_t)[-1])
         return SpmvPrediction(seconds=seconds, thread_seconds=times,
-                              x_line_loads=loads, gflops=gflops,
-                              bytes_total=total_bytes,
+                              x_line_loads=int(x_loads.sum()),
+                              gflops=gflops, bytes_total=total_bytes,
                               llc_residency=resid)
 
 
 def predict_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
-                 nthreads=None, model_factory=None,
-                 reuse: ReuseStats | None = None,
                  workloads=None) -> dict:
-    """Batched model evaluation over architectures × kernels × threads.
+    """Batched model evaluation over architectures × kernels.
 
     Computes the per-(matrix, ordering) sufficient statistics once (one
     argsort over the cache-line id stream, one row-length-change prefix
     sum) and serves every requested cell from them; schedules are
     memoised per (matrix, kind, nthreads), so architectures with equal
-    core counts share them too.  Returns
-    ``{(arch.name, kernel, nthreads): SpmvPrediction}`` whose entries
-    are **bit-identical** to calling :meth:`PerfModel.predict` per
-    cell (the golden-equivalence suite asserts this).
+    core counts share them too.  Each architecture runs with its own
+    ``arch.threads`` (the study's one-thread-per-core setting).
+    Returns ``{(arch.name, kernel, arch.threads): SpmvPrediction}``
+    whose entries are **bit-identical** to calling
+    :meth:`PerfModel.predict` per cell (the golden-equivalence suite
+    asserts this).
 
     Parameters
     ----------
@@ -431,15 +382,6 @@ def predict_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
         Iterable of :class:`Architecture`.
     kernels:
         Schedule kinds (``"1d"`` / ``"2d"`` / ``"merge"``).
-    nthreads:
-        Optional iterable of thread counts applied to every
-        architecture; by default each architecture runs with its own
-        ``arch.threads`` (the study's one-thread-per-core setting).
-    model_factory:
-        Optional ``arch -> PerfModel`` hook (ablations override this).
-    reuse:
-        Precomputed statistics; defaults to the matrix's memoised
-        :class:`ReuseStats`.
     workloads:
         ``None`` (the default) keeps the historical 3-tuple keys and
         :class:`SpmvPrediction` values bit-identically.  A tuple of
@@ -449,28 +391,24 @@ def predict_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
         the one base SpMV prediction of its cell (see
         :mod:`repro.machine.workloads`).
     """
-    factory = model_factory or PerfModel
-    if reuse is None:
-        reuse = ReuseStats.for_matrix(a)
+    reuse = ReuseStats.for_matrix(a)
     architectures = list(architectures)
     out = {}
     with span("model.predict_many", nnz=a.nnz,
               architectures=len(architectures), kernels=list(kernels),
               workloads=list(workloads) if workloads else []):
         for arch in architectures:
-            model = factory(arch)
-            counts = ([arch.threads] if nthreads is None
-                      else list(nthreads))
+            model = PerfModel(arch)
+            nt = arch.threads
             for kernel in kernels:
-                for nt in counts:
-                    schedule = get_schedule(a, kernel, nt)
-                    pred = model.predict(a, schedule, reuse=reuse)
-                    if workloads is None:
-                        out[(arch.name, kernel, nt)] = pred
-                        continue
-                    from .workloads import predict_workload
+                schedule = get_schedule(a, kernel, nt)
+                pred = model.predict(a, schedule, reuse=reuse)
+                if workloads is None:
+                    out[(arch.name, kernel, nt)] = pred
+                    continue
+                from .workloads import predict_workload
 
-                    for workload in workloads:
-                        out[(arch.name, kernel, nt, workload)] = \
-                            predict_workload(a, workload, arch, pred)
+                for workload in workloads:
+                    out[(arch.name, kernel, nt, workload)] = \
+                        predict_workload(a, workload, arch, pred)
     return out

@@ -19,8 +19,13 @@ adds a remote-access surcharge to each thread's x traffic:
 * ``local_only`` — idealised single-socket placement (no surcharge),
   the implicit baseline of :class:`PerfModel`.
 
-Remote accesses pay ``remote_penalty`` × the local byte cost — the
-~1.5–2× bandwidth/latency gap of two-socket Epyc/Xeon systems.
+Remote accesses pay ``DEFAULT_REMOTE_PENALTY`` × the local byte cost —
+the ~1.5–2× bandwidth/latency gap of two-socket Epyc/Xeon systems.
+
+The surcharge is one vectorised expression over all threads, applied
+through :meth:`PerfModel._finish_times`, so both model paths (the
+vectorised fast pass and the ``fastpath=False`` scalar reference)
+carry it.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from ..errors import ArchitectureError
 from ..matrix.csr import CSRMatrix
 from ..spmv.schedule import Schedule
 from .arch import Architecture
-from .model import PerfModel, X_BYTES_PER_LOAD
+from .model import BANDWIDTH_EFFICIENCY, PerfModel, X_BYTES_PER_LOAD
 
 PLACEMENTS = ("local_only", "first_touch", "interleaved")
 DEFAULT_REMOTE_PENALTY = 1.7
@@ -41,51 +46,46 @@ class NumaModel(PerfModel):
     """Performance model with a two-socket NUMA surcharge on x traffic."""
 
     def __init__(self, arch: Architecture, placement: str = "first_touch",
-                 remote_penalty: float = DEFAULT_REMOTE_PENALTY,
                  **kwargs) -> None:
         if placement not in PLACEMENTS:
             raise ArchitectureError(
                 f"unknown placement {placement!r}; pick from {PLACEMENTS}")
-        if remote_penalty < 1.0:
-            raise ArchitectureError(
-                f"remote_penalty must be >= 1, got {remote_penalty}")
         super().__init__(arch, **kwargs)
         self.placement = placement
-        self.remote_penalty = remote_penalty
 
-    def _remote_fraction(self, a: CSRMatrix, schedule: Schedule,
-                         t: int) -> float:
-        """Fraction of thread t's x accesses served by the other socket."""
+    def _remote_fraction(self, a: CSRMatrix,
+                         schedule: Schedule) -> np.ndarray:
+        """Fraction of each thread's x accesses served by the other
+        socket (length ``nthreads``)."""
+        tcount = schedule.nthreads
         if self.arch.sockets < 2 or self.placement == "local_only":
-            return 0.0
+            return np.zeros(tcount)
         if self.placement == "interleaved":
-            return 0.5
+            return np.full(tcount, 0.5)
         # first touch: x pages owned by the thread whose block initialised
         # them; accesses inside the thread's own column block are local,
         # the rest split evenly between the sockets
-        lo, hi = schedule.thread_entry_range(t)
-        if lo == hi:
-            return 0.0
-        cols = a.colidx[lo:hi]
-        block = a.ncols / schedule.nthreads
-        own_lo = t * block
-        own_hi = (t + 1) * block
-        local = np.count_nonzero((cols >= own_lo) & (cols < own_hi))
-        remote_share = 1.0 - local / cols.size
-        return 0.5 * remote_share
+        nnz_t = np.diff(schedule.entry_start)
+        tid = np.repeat(np.arange(tcount, dtype=np.int64), nnz_t)
+        cols = a.colidx[:tid.size]
+        block = a.ncols / tcount
+        own = (cols >= tid * block) & (cols < (tid + 1) * block)
+        local = np.bincount(tid[own], minlength=tcount)
+        busy = nnz_t > 0
+        frac = np.zeros(tcount)
+        frac[busy] = 0.5 * (1.0 - local[busy] / nnz_t[busy])
+        return frac
 
-    def _thread_time(self, a: CSRMatrix, schedule: Schedule, t: int,
-                     resid: float, reuse=None, prev=None) -> tuple:
-        base_time, x_loads, bytes_t = super()._thread_time(
-            a, schedule, t, resid, reuse=reuse, prev=prev)
-        frac = self._remote_fraction(a, schedule, t)
-        if frac == 0.0 or x_loads == 0:
-            return base_time, x_loads, bytes_t
+    def _finish_times(self, a: CSRMatrix, schedule: Schedule,
+                      times: np.ndarray, x_loads: np.ndarray,
+                      resid: float) -> np.ndarray:
         # surcharge: remote x bytes cost (penalty - 1) extra, paid on
-        # the DRAM-side share of the traffic
+        # the DRAM-side share of the traffic; it is +0.0 for threads
+        # with no remote share or no x loads
+        frac = self._remote_fraction(a, schedule)
         x_bytes = X_BYTES_PER_LOAD * x_loads
         dram_bw = (self.arch.per_thread_bandwidth(schedule.nthreads)
-                   * 0.77)
-        extra = (self.remote_penalty - 1.0) * frac * x_bytes \
-            * (1.0 - resid) / dram_bw
-        return base_time + extra, x_loads, bytes_t
+                   * BANDWIDTH_EFFICIENCY)
+        extra = ((DEFAULT_REMOTE_PENALTY - 1.0) * frac * x_bytes
+                 * (1.0 - resid) / dram_bw)
+        return times + extra

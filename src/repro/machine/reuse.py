@@ -15,18 +15,17 @@ count from them:
 * :func:`prev_occurrence` — one stable argsort over the cache-line id
   stream yields, for every access, the index of the previous access to
   the same line (``-1`` for first occurrences).
-* :func:`distinct_count` / :func:`windowed_distinct_loads` — with the
-  previous-occurrence array, the number of distinct lines in any window
-  ``[s, e)`` is the count of positions whose previous occurrence falls
-  before ``s``.  This replaces the per-window ``np.unique`` loop of the
-  model with O(nnz) vectorised work whose result is **bit-identical**
-  to the loop (both count exactly the first occurrence of each line
-  inside each window).
+  With it, the number of distinct lines in any window ``[s, e)`` is
+  the count of positions there whose previous occurrence falls before
+  ``s``; the model's vectorised pass
+  (:meth:`PerfModel._x_loads_batch`) counts every thread's windows
+  this way in O(nnz), **bit-identical** to the per-window
+  ``np.unique`` loop of its scalar reference.
 * :func:`stack_distances` — exact fully-associative LRU stack
   distances, computed with a vectorised merge-counting pass (no
   per-access Python loop); used by the cache simulator's fast path.
 * :class:`ReuseStats` — the memoised per-matrix container threaded
-  through ``simulate_measurement`` and ``PerfModel.predict_many`` so
+  through ``simulate_measurement`` and ``predict_many`` so
   line ids, previous occurrences and row-length-change prefix sums are
   shared across all cells of one (matrix, ordering).
 
@@ -83,43 +82,6 @@ def prev_occurrence(stream: np.ndarray) -> np.ndarray:
     same = svals[1:] == svals[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
-
-
-def distinct_count(prev: np.ndarray, lo: int = 0, hi: int | None = None) -> int:
-    """Number of distinct values in ``stream[lo:hi]``.
-
-    Equals ``np.unique(stream[lo:hi]).size``: an element is the first
-    occurrence of its value inside the slice exactly when its previous
-    occurrence falls before ``lo``.
-    """
-    hi = prev.size if hi is None else hi
-    return int(np.count_nonzero(prev[lo:hi] < lo))
-
-
-def windowed_distinct_loads(prev: np.ndarray, window: int, lo: int = 0,
-                            hi: int | None = None,
-                            positions: np.ndarray | None = None) -> int:
-    """Sum of per-window distinct counts over ``stream[lo:hi]``.
-
-    The slice is split into consecutive windows of ``window`` elements
-    (the last one truncated) and each window contributes its distinct
-    value count — bit-identical to running ``np.unique`` per window:
-    position ``i`` is a first occurrence within its window exactly when
-    ``prev[i]`` falls before the window start.
-
-    ``positions`` may supply a preallocated ``arange`` of length at
-    least ``hi - lo`` to avoid the allocation on hot paths.
-    """
-    hi = prev.size if hi is None else hi
-    n = hi - lo
-    if n <= 0:
-        return 0
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
-    pos = (np.arange(n, dtype=np.int64) if positions is None
-           else positions[:n])
-    wstart = lo + (pos // window) * window
-    return int(np.count_nonzero(prev[lo:hi] < wstart))
 
 
 def _rank_before(values: np.ndarray) -> np.ndarray:
@@ -202,9 +164,9 @@ class ReuseStats:
     Everything is built lazily: :meth:`prev` keys the line-id and
     previous-occurrence arrays by words-per-line (64-byte lines hold 8
     x-vector doubles on every Table 2 machine, but the key keeps
-    non-standard line sizes correct), and :meth:`row_change_count`
-    serves any row range from one prefix sum over the row-length
-    change indicators.
+    non-standard line sizes correct), and :meth:`row_change_prefix`
+    serves any row range's row-length change count with one
+    subtraction.
     """
 
     #: attribute used to memoise the instance on the matrix object;
@@ -271,17 +233,6 @@ class ReuseStats:
                 np.cumsum(lengths[1:] != lengths[:-1], out=prefix[1:])
             self._row_change_prefix = prefix
         return self._row_change_prefix
-
-    def row_change_count(self, row_lo: int, row_hi: int) -> int:
-        """Number of adjacent row-length changes in rows [row_lo, row_hi).
-
-        Bit-identical to
-        ``np.count_nonzero(np.diff(np.diff(rowptr[row_lo:row_hi+1])))``.
-        """
-        if row_hi - row_lo < 2:
-            return 0
-        p = self.row_change_prefix()
-        return int(p[row_hi - 1] - p[row_lo])
 
     def prepare(self, words_per_lines=(8,)) -> "ReuseStats":
         """Force materialisation of the lazy arrays (for stage timing)."""

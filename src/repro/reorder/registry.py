@@ -41,6 +41,18 @@ ORDERING_FUNCS = {
 }
 
 
+def check_ordering_names(names) -> None:
+    """Raise :class:`ReorderingError` naming every entry of ``names``
+    that is neither ``"original"`` nor in :data:`ORDERING_FUNCS`, with
+    the known names.  The live dict is read, so orderings registered
+    at run time pass."""
+    unknown = [n for n in names if n != "original" and n not in ORDERING_FUNCS]
+    if unknown:
+        raise ReorderingError(
+            f"unknown ordering {', '.join(map(repr, unknown))}; known: "
+            f"{', '.join(('original', *ORDERING_FUNCS))}")
+
+
 def compute_ordering(a: CSRMatrix, name: str, nparts: int = 64,
                      seed=0) -> OrderingResult:
     """Compute ordering ``name`` for matrix ``a``.
@@ -52,10 +64,7 @@ def compute_ordering(a: CSRMatrix, name: str, nparts: int = 64,
     """
     if name == "original":
         return identity_ordering(a.nrows)
-    if name not in ORDERING_FUNCS:
-        raise ReorderingError(
-            f"unknown ordering {name!r}; known: "
-            f"{ALL_ORDERINGS + EXTRA_ORDERINGS}")
+    check_ordering_names((name,))
     REGISTRY.counter(f"reorder.computed.{name}").inc()
     with span("ordering.compute", algo=name, nrows=a.nrows, nnz=a.nnz):
         if name == "GP":

@@ -46,13 +46,14 @@ def test_iteration_budget_changes_cache_key(model, corpus, arch):
     assert gated != free or free[0].ordering == "original"
 
 
-def test_advise_many_matches_single_requests(advisor, corpus, arch):
+def test_advise_many_matches_single_requests(model, corpus, arch):
     entries = corpus[:4]
-    batch = advisor.advise_many(entries, arch, "1d", max_workers=4)
-    assert len(batch) == len(entries)
-    for e, ranked in zip(entries, batch):
-        assert ranked == advisor.advise(e.matrix, arch, "1d",
-                                        matrix_name=e.name)
+    with Advisor(model, workers=4) as advisor:
+        batch = advisor.advise_many(entries, arch, "1d")
+        assert len(batch) == len(entries)
+        for e, ranked in zip(entries, batch):
+            assert ranked == advisor.advise(e.matrix, arch, "1d",
+                                            matrix_name=e.name)
 
 
 def test_advise_many_single_matrix_runs_on_caller_thread(model, corpus,
@@ -64,8 +65,6 @@ def test_advise_many_single_matrix_runs_on_caller_thread(model, corpus,
                                       matrix_name=e.name)
     with Advisor(model, workers=2) as advisor:
         assert advisor.advise_many([e], arch, "2d") == [reference]
-        assert advisor.advise_many([e], arch, "2d",
-                                   max_workers=4) == [reference]
         assert advisor._pool is None
 
 
@@ -79,7 +78,7 @@ def test_advise_many_accepts_bare_matrices(advisor, corpus, arch):
 
 def test_advise_many_reuses_instance_pool(model, corpus, arch):
     """The reusable pool is created once, survives repeated batches,
-    and close() tears it down; max_workers still forces a one-off."""
+    and close() tears it down."""
     advisor = Advisor(model, workers=2)
     try:
         assert advisor._pool is None          # lazy until first batch
@@ -88,9 +87,6 @@ def test_advise_many_reuses_instance_pool(model, corpus, arch):
         assert pool is not None
         advisor.advise_many(corpus[:2], arch, "2d")
         assert advisor._pool is pool          # same pool, not per-call
-        # an explicit max_workers bypasses the instance pool
-        advisor.advise_many(corpus[:2], arch, "1d", max_workers=1)
-        assert advisor._pool is pool
     finally:
         advisor.close()
     assert advisor._pool is None

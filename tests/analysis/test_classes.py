@@ -1,5 +1,3 @@
-import pytest
-
 from repro.analysis import CLASS_DESCRIPTIONS, classify_matrix
 from repro.analysis.classes import ClassificationInput
 

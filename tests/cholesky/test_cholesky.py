@@ -10,7 +10,7 @@ from repro.cholesky import (
 )
 from repro.errors import CholeskyError
 from repro.generators import fem_mesh_2d, stencil_2d
-from repro.matrix import csr_from_dense, symmetrize_pattern
+from repro.matrix import csr_from_dense
 
 from ..conftest import random_csr
 

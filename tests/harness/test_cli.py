@@ -1,6 +1,3 @@
-import io
-
-import numpy as np
 import pytest
 
 from repro.generators import build_corpus
@@ -75,13 +72,36 @@ def test_sweep_tables_refuse_an_incomplete_sweep(capsys, tmp_path):
     assert f"no record for {first}/ND/1d/Rome" in captured.err
 
 
-def test_sweep_with_failed_cells_exits_1(capsys, tmp_path):
-    # an unknown ordering fails every cell; no flag is needed to see it
+def test_sweep_with_failed_cells_exits_1(capsys, tmp_path, monkeypatch):
+    # a raising ordering fails every cell; no flag is needed to see it
+    from repro.reorder import registry
+
+    def boom(a, **kw):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setitem(registry.ORDERING_FUNCS, "Boom", boom)
     assert main(["sweep", "--tier", "tiny", "--limit", "1",
-                 "--archs", "Rome", "--orderings", "NOPE",
+                 "--archs", "Rome", "--orderings", "Boom",
                  "--cache", str(tmp_path / "cache"),
                  "--metrics", "", "--manifest", ""]) == 1
     assert "failed" in capsys.readouterr().out
+
+
+def test_sweep_rejects_unknown_ordering_before_building_corpus(
+        capsys, tmp_path, monkeypatch):
+    from repro.harness import cli
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built before the names were checked")
+
+    monkeypatch.setattr(cli, "build_corpus", no_corpus)
+    assert main(["sweep", "--tier", "tiny", "--limit", "1",
+                 "--archs", "Rome", "--orderings", "RCM,NOPE",
+                 "--cache", str(tmp_path / "cache"),
+                 "--metrics", "", "--manifest", ""]) == 2
+    err = capsys.readouterr().err
+    assert "unknown ordering 'NOPE'" in err
+    assert "known: original, RCM," in err
 
 
 def test_sweep_strict_flag_is_gone(tmp_path):

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import HarnessError
+from repro.errors import HarnessError, ReorderingError
 from repro.generators import build_corpus
 from repro.harness import (
     FailedCell,
@@ -253,6 +253,14 @@ def sleepy_ordering():
     registry.ORDERING_FUNCS["Sleepy"] = sleepy
     yield "Sleepy"
     registry.ORDERING_FUNCS.pop("Sleepy", None)
+
+
+def test_unknown_ordering_rejected_before_any_cell(tiny_corpus, rome,
+                                                   exploding_ordering):
+    with pytest.raises(ReorderingError, match="known: original, RCM"):
+        SweepEngine(tiny_corpus[:1], rome, ["RCM", "NOPE"])
+    # a name registered at run time is known
+    SweepEngine(tiny_corpus[:1], rome, ["RCM", exploding_ordering])
 
 
 def test_raising_ordering_yields_failed_cells_not_a_crash(

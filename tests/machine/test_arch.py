@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import ArchitectureError
-from repro.machine import TABLE2, architecture_names, get_architecture
+from repro.machine import architecture_names, get_architecture
 from repro.machine.arch import Architecture
 
 

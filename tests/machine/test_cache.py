@@ -77,7 +77,6 @@ def test_model_tracks_exact_simulator_ranking():
     band/scatter contrast (validation of the analytical substitution)."""
     from repro.generators import banded_matrix
     from repro.machine import PerfModel, get_architecture
-    from repro.spmv import schedule_1d
 
     arch = get_architecture("Rome")
     model = PerfModel(arch)

@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from repro.generators import banded_matrix, circuit_matrix, stencil_2d
 from repro.machine import PerfModel, get_architecture, simulate_measurement
-from repro.machine.model import DEFAULT_CACHE_SCALE
 from repro.matrix import tall_skinny_dense_csr
 from repro.spmv import schedule_1d, schedule_2d
 
@@ -95,12 +93,6 @@ def test_empty_matrix(rome):
     pred = PerfModel(rome).predict(a, schedule_1d(a, 4))
     assert pred.seconds > 0  # clamped, no division by zero
     assert pred.x_line_loads == 0
-
-
-def test_cache_scale_default_reduces_capacity(rome):
-    big = PerfModel(rome, cache_scale=1.0)
-    small = PerfModel(rome, cache_scale=DEFAULT_CACHE_SCALE)
-    assert small._l2_lines() <= big._l2_lines()
 
 
 def test_simulate_measurement_record(rome, rng):

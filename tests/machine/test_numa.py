@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ArchitectureError
-from repro.generators import random_er, stencil_2d
+from repro.generators import random_er
 from repro.machine import NumaModel, PerfModel, get_architecture
 from repro.reorder import gp_ordering
 from repro.spmv import schedule_1d
@@ -67,14 +67,20 @@ def test_invalid_placement_rejected(milan):
         NumaModel(milan, placement="magic")
 
 
-def test_invalid_penalty_rejected(milan):
-    with pytest.raises(ArchitectureError):
-        NumaModel(milan, remote_penalty=0.5)
-
-
 def test_remote_fraction_bounds(milan, scattered):
-    m = NumaModel(milan, placement="first_touch")
     s = schedule_1d(scattered, milan.threads)
+    fracs = {p: NumaModel(milan, placement=p)._remote_fraction(scattered, s)
+             for p in ("local_only", "first_touch", "interleaved")}
+    for f in fracs.values():
+        assert f.shape == (milan.threads,)
+        assert np.all((f >= 0.0) & (f <= 0.5))
+    assert not fracs["local_only"].any()
+    assert np.all(fracs["interleaved"] == 0.5)
+    # first touch: half the share of each thread's columns outside its
+    # own column block
+    block = scattered.ncols / milan.threads
     for t in range(milan.threads):
-        f = m._remote_fraction(scattered, s, t)
-        assert 0.0 <= f <= 0.5
+        lo, hi = s.thread_entry_range(t)
+        cols = scattered.colidx[lo:hi]
+        own = (cols >= t * block) & (cols < (t + 1) * block)
+        assert fracs["first_touch"][t] == 0.5 * (1.0 - own.mean())

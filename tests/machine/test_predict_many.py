@@ -8,7 +8,9 @@ every :class:`SpmvPrediction` must equal — with ``==``, not
 object) produces.  This is checked over a small corpus slice, every
 ordering of the study, all eight Table 2 architectures and both
 kernels, with GP recomputed per distinct ``gp_parts`` exactly as the
-sweep engine groups it.
+sweep engine groups it.  :class:`NumaModel` runs the same grid under
+each of its three placements: its remote-x surcharge is added through
+the per-thread hook both paths share, so it too must be bit-identical.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from repro.generators.suite import build_corpus
 from repro.machine.arch import TABLE2
 from repro.machine.bench import simulate_measurement, simulate_many
 from repro.machine.model import PerfModel, predict_many
+from repro.machine.numa import PLACEMENTS, NumaModel
 from repro.matrix.csr import CSRMatrix
 from repro.reorder.registry import ALL_ORDERINGS, compute_ordering
 from repro.spmv.schedule import get_schedule, schedule_1d, schedule_2d
@@ -33,16 +36,23 @@ def corpus_slice():
     return [corpus[i] for i in CASE_INDICES]
 
 
+@pytest.fixture(scope="module")
+def variants(corpus_slice):
+    """(matrix, ordering, reordered matrix) over the whole slice."""
+    return [(entry.name, ordering, b) for entry in corpus_slice
+            for ordering, b in iter_variants(entry)]
+
+
 def fresh_copy(a: CSRMatrix) -> CSRMatrix:
     """A new matrix object with no memoised caches attached."""
     return CSRMatrix(a.nrows, a.ncols, a.rowptr.copy(), a.colidx.copy(),
                      a.values.copy())
 
 
-def reference_prediction(a, arch, kernel):
-    """The legacy implementation: fresh matrix, no caches, per-window
+def reference_prediction(a, arch, kernel, model=None):
+    """The scalar reference: fresh matrix, no caches, per-window
     ``np.unique`` loop."""
-    model = PerfModel(arch, fastpath=False)
+    model = model or PerfModel(arch, fastpath=False)
     b = fresh_copy(a)
     schedule = (schedule_1d if kernel == "1d" else schedule_2d)(
         b, arch.threads)
@@ -74,18 +84,32 @@ def iter_variants(entry, seed=0):
             yield name, result.apply(a)
 
 
-def test_predict_many_bit_identical_to_per_cell_predict(corpus_slice):
-    for entry in corpus_slice:
-        for ordering, b in iter_variants(entry):
-            out = predict_many(b, ARCHS)
-            assert set(out) == {(arch.name, kernel, arch.threads)
-                                for arch in ARCHS for kernel in ("1d", "2d")}
-            for arch in ARCHS:
-                for kernel in ("1d", "2d"):
-                    ref = reference_prediction(b, arch, kernel)
-                    assert_same_prediction(
-                        out[(arch.name, kernel, arch.threads)], ref,
-                        (entry.name, ordering, arch.name, kernel))
+def test_predict_many_bit_identical_to_per_cell_predict(variants):
+    for name, ordering, b in variants:
+        out = predict_many(b, ARCHS)
+        assert set(out) == {(arch.name, kernel, arch.threads)
+                            for arch in ARCHS for kernel in ("1d", "2d")}
+        for arch in ARCHS:
+            for kernel in ("1d", "2d"):
+                ref = reference_prediction(b, arch, kernel)
+                assert_same_prediction(
+                    out[(arch.name, kernel, arch.threads)], ref,
+                    (name, ordering, arch.name, kernel))
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_numa_model_fast_matches_reference(variants, placement):
+    for name, ordering, b in variants:
+        for arch in ARCHS:
+            fast_model = NumaModel(arch, placement=placement)
+            ref_model = NumaModel(arch, placement=placement,
+                                  fastpath=False)
+            for kernel in ("1d", "2d"):
+                fast = fast_model.predict(
+                    b, get_schedule(b, kernel, arch.threads))
+                ref = reference_prediction(b, arch, kernel, ref_model)
+                assert_same_prediction(
+                    fast, ref, (name, ordering, arch.name, kernel))
 
 
 def test_simulate_many_bit_identical_to_per_cell_records(corpus_slice):
@@ -98,19 +122,6 @@ def test_simulate_many_bit_identical_to_per_cell_records(corpus_slice):
                                        model=PerfModel(arch, fastpath=False))
                   for arch in ARCHS for kernel in ("1d", "2d")]
         assert fast == legacy
-
-
-def test_predict_many_explicit_thread_counts(corpus_slice):
-    entry = corpus_slice[0]
-    b = fresh_copy(entry.matrix)
-    out = predict_many(b, ARCHS[:2], kernels=("1d",), nthreads=(4, 16))
-    for arch in ARCHS[:2]:
-        for nt in (4, 16):
-            model = PerfModel(arch, fastpath=False)
-            c = fresh_copy(entry.matrix)
-            ref = model.predict(c, schedule_1d(c, nt))
-            assert_same_prediction(out[(arch.name, "1d", nt)], ref,
-                                   (arch.name, nt))
 
 
 def test_fastpath_ablation_models_stay_identical(corpus_slice):

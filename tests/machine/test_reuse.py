@@ -3,9 +3,10 @@
 The fast path of the performance model rests on three identities; each
 is checked here against the brute-force definition on random streams:
 
-* ``distinct_count`` / ``windowed_distinct_loads`` must equal per-slice
-  and per-window ``np.unique`` counts exactly (the model's predictions
-  are asserted bit-identical downstream, so these must be too);
+* ``prev_occurrence`` must equal the dict-of-last-positions
+  definition (the model's vectorised pass counts distinct lines per
+  window from it, and its predictions are asserted bit-identical to
+  the per-window ``np.unique`` reference downstream);
 * ``stack_distances`` must equal the O(n²) distinct-values-between
   definition;
 * :class:`ReuseStats` must memoise per matrix object and report its
@@ -13,15 +14,8 @@ is checked here against the brute-force definition on random streams:
 """
 
 import numpy as np
-import pytest
 
-from repro.machine.reuse import (
-    ReuseStats,
-    distinct_count,
-    prev_occurrence,
-    stack_distances,
-    windowed_distinct_loads,
-)
+from repro.machine.reuse import ReuseStats, prev_occurrence, stack_distances
 from repro.obs.metrics import REGISTRY
 from ..conftest import random_csr
 
@@ -50,33 +44,6 @@ def random_streams(rng):
 def test_prev_occurrence_matches_brute_force(rng):
     for stream in random_streams(rng):
         assert np.array_equal(prev_occurrence(stream), brute_prev(stream))
-
-
-def test_distinct_count_matches_np_unique(rng):
-    for stream in random_streams(rng):
-        prev = prev_occurrence(stream)
-        n = stream.size
-        for lo, hi in [(0, n), (0, n // 2), (n // 3, n), (n // 4, 3 * n // 4)]:
-            assert distinct_count(prev, lo, hi) == \
-                np.unique(stream[lo:hi]).size
-
-
-def test_windowed_distinct_loads_matches_np_unique_loop(rng):
-    for stream in random_streams(rng):
-        prev = prev_occurrence(stream)
-        n = stream.size
-        for window in (1, 3, 7, 64, max(n, 1)):
-            for lo, hi in [(0, n), (n // 3, n)]:
-                s = stream[lo:hi]
-                expect = sum(int(np.unique(s[k:k + window]).size)
-                             for k in range(0, s.size, window))
-                got = windowed_distinct_loads(prev, window, lo, hi)
-                assert got == expect, (n, window, lo, hi)
-
-
-def test_windowed_distinct_loads_rejects_bad_window():
-    with pytest.raises(ValueError):
-        windowed_distinct_loads(np.array([-1, 0]), 0, 0, 2)
 
 
 def brute_stack_distances(stream):
@@ -129,7 +96,9 @@ def test_reuse_stats_values(rng):
     for lo, hi in [(0, a.nrows), (5, 20), (7, 8), (3, 3)]:
         expect = (int(np.count_nonzero(np.diff(lengths[lo:hi])))
                   if hi - lo >= 2 else 0)
-        assert stats.row_change_count(lo, hi) == expect
+        p = stats.row_change_prefix()
+        got = int(p[hi - 1] - p[lo]) if hi - lo >= 2 else 0
+        assert got == expect
 
 
 def test_reuse_stats_dropped_on_pickle(rng):

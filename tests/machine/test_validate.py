@@ -1,6 +1,5 @@
 """Model-vs-exact-simulator validation (the substitution's own test)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ArchitectureError

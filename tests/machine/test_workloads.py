@@ -99,23 +99,24 @@ def test_unknown_workload_raises(matrix, spmv_pred):
 # batched prediction and the measurement-shaped simulation
 # ----------------------------------------------------------------------
 def test_predict_many_legacy_keys_bit_identical(matrix):
-    legacy = predict_many(matrix, architectures=[ARCH],
-                          kernels=("1d",), nthreads=(4,))
+    legacy = predict_many(matrix, architectures=[ARCH], kernels=("1d",))
     (key, pred), = legacy.items()
-    assert key == (ARCH.name, "1d", 4)
+    nt = ARCH.threads
+    assert key == (ARCH.name, "1d", nt)
     model = PerfModel(ARCH)
-    direct = model.predict(matrix, schedule_1d(matrix, 4))
+    direct = model.predict(matrix, schedule_1d(matrix, nt))
     assert pred.seconds == direct.seconds
     assert pred.gflops == direct.gflops
 
 
 def test_predict_many_workload_axis(matrix):
     out = predict_many(matrix, architectures=[ARCH], kernels=("1d",),
-                       nthreads=(4,), workloads=("spmv", "cg", "spmm"))
-    assert set(out) == {(ARCH.name, "1d", 4, w)
+                       workloads=("spmv", "cg", "spmm"))
+    nt = ARCH.threads
+    assert set(out) == {(ARCH.name, "1d", nt, w)
                        for w in ("spmv", "cg", "spmm")}
-    base = out[(ARCH.name, "1d", 4, "spmv")]
-    assert out[(ARCH.name, "1d", 4, "cg")].seconds > base.seconds
+    base = out[(ARCH.name, "1d", nt, "spmv")]
+    assert out[(ARCH.name, "1d", nt, "cg")].seconds > base.seconds
     # every workload entry shares the same underlying SpMV prediction
     for wp in out.values():
         assert wp.spmv.seconds == base.spmv.seconds

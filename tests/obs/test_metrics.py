@@ -92,11 +92,15 @@ def test_snapshot_is_json_shaped():
 
 
 def test_instrumented_modules_register_their_counters():
-    from repro.machine import reuse  # noqa: F401
+    # importing a module registers its counters in the global registry
+    from repro.machine import reuse
     from repro.obs.metrics import REGISTRY
-    from repro.spmv import schedule  # noqa: F401
+    from repro.spmv import schedule
 
     snap = REGISTRY.snapshot()
-    for name in ("reuse.builds", "reuse.hits", "schedule.builds",
-                 "schedule.hits"):
-        assert snap[name]["type"] == "counter"
+    for module, prefix in ((reuse, "reuse"), (schedule, "schedule")):
+        for kind, counter in (("builds", module._BUILDS),
+                              ("hits", module._HITS)):
+            name = f"{prefix}.{kind}"
+            assert snap[name]["type"] == "counter"
+            assert REGISTRY.counter(name) is counter

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.generators import fem_mesh_2d, stencil_2d
+from repro.generators import stencil_2d
 from repro.graph import graph_from_matrix
 from repro.partition.initial import (
     greedy_grow_bisection,

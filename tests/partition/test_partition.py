@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.generators import fem_mesh_2d, random_er, rmat_graph, stencil_2d
+from repro.generators import fem_mesh_2d, rmat_graph, stencil_2d
 from repro.graph import graph_from_matrix
 from repro.partition import (
     bisect,
@@ -99,8 +99,6 @@ def test_refinement_improves_cut():
 
 
 def test_partition_handles_disconnected():
-    import scipy.sparse as sp
-
     from repro.matrix import csr_from_dense
 
     # two disjoint paths

@@ -10,7 +10,7 @@ from repro.generators import (
     random_er,
     stencil_2d,
 )
-from repro.matrix import csr_from_dense, is_pattern_symmetric
+from repro.matrix import csr_from_dense
 from repro.reorder import (
     ALL_ORDERINGS,
     amd_ordering,

@@ -1,10 +1,12 @@
-"""Guard against dead imports in the library.
+"""Guard against dead imports in the library, tests, benchmarks and
+examples.
 
-Every name a non-``__init__`` module under ``src/repro`` imports must
-be used in that module: read as a name, as the root of an attribute
-chain, inside a string annotation, or listed in the module's
-``__all__``.  Package ``__init__`` modules are exempt: re-exporting is
-their job.
+Every name a non-``__init__`` module under ``src/repro``, ``tests``,
+``benchmarks`` or ``examples`` imports must be used in that module:
+read as a name, as the root of an attribute chain, inside a string
+annotation, or listed in the module's ``__all__``.  Package
+``__init__`` modules are exempt: re-exporting is their job.  An import
+kept only for its side effect has to show that effect in the code.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+TREES = (SRC, ROOT / "tests", ROOT / "benchmarks", ROOT / "examples")
+MODULES = sorted(p for tree in TREES for p in tree.rglob("*.py")
+                 if p.name != "__init__.py")
 
 
 def _imported_names(tree: ast.Module) -> dict:
@@ -64,12 +69,15 @@ def _used_names(tree: ast.Module) -> set:
 
 
 def test_no_unused_imports():
-    assert len(MODULES) > 50  # the glob really found the library
+    # the globs really found every tree
+    assert all(any(p.is_relative_to(tree) for p in MODULES)
+               for tree in TREES)
+    assert len(MODULES) > 50
     dead = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = _used_names(tree)
-        dead += [f"{path.relative_to(SRC)}:{line} {name}"
+        dead += [f"{path.relative_to(ROOT)}:{line} {name}"
                  for name, line in _imported_names(tree).items()
                  if name not in used]
     assert not dead, "unused imports:\n" + "\n".join(sorted(dead))
