@@ -1,4 +1,4 @@
-"""Throughput benchmark of the batched model-evaluation fast path.
+"""Throughput benchmark of the memoised model-evaluation fast path.
 
 Measures the same grid twice — every (matrix, ordering) variant of the
 corpus under all eight architectures and both kernels:
@@ -6,9 +6,10 @@ corpus under all eight architectures and both kernels:
 * **legacy**: fresh matrix objects and ``fastpath=False`` models, i.e.
   per-cell schedule rebuilds and the per-thread, per-window
   ``np.unique`` working-set loop;
-* **fast**: :func:`repro.machine.bench.simulate_many`, where one
-  :class:`~repro.machine.reuse.ReuseStats` pass and the per-matrix
-  schedule cache serve all cells of a variant.
+* **fast**: per-cell :func:`repro.machine.bench.simulate_measurement`
+  calls on one fresh matrix object per variant, where one
+  :class:`~repro.machine.reuse.ReuseStats` pass and the schedule
+  cache memoised on that matrix serve all cells of the variant.
 
 The two record lists must be bit-identical.  The regression gate is
 *counter-based*, not wall-time-based (CI machines are noisy): the fast
@@ -25,7 +26,7 @@ import time
 import numpy as np
 
 from repro.harness.experiments import REORDERINGS
-from repro.machine.bench import simulate_many, simulate_measurement
+from repro.machine.bench import simulate_measurement
 from repro.machine.model import PerfModel
 from repro.matrix.csr import CSRMatrix
 from repro.obs.metrics import REGISTRY
@@ -96,13 +97,18 @@ def test_fastpath_speedup_and_operation_counts(corpus, ordering_cache,
         legacy_s = time.perf_counter() - t0
 
     # -- fast pass: shared statistics, fresh matrices ------------------
+    fast_models = [PerfModel(a) for a in archs]
     counters_before = REGISTRY.values()
     with _UniqueCounter() as fast_unique:
         t0 = time.perf_counter()
         fast_records = []
         for label, m in variants:
+            b = _fresh(m)
             fast_records.extend(
-                simulate_many(_fresh(m), archs, matrix_name=label))
+                simulate_measurement(b, arch, kernel, label, "",
+                                     model=model)
+                for arch, model in zip(archs, fast_models)
+                for kernel in ("1d", "2d"))
         fast_s = time.perf_counter() - t0
     counters_after = REGISTRY.values()
     delta = {k: counters_after.get(k, 0) - counters_before.get(k, 0)
@@ -147,5 +153,5 @@ def test_fastpath_speedup_and_operation_counts(corpus, ordering_cache,
     rows = [[k, str(v)] for k, v in artifact.items() if k != "counters"]
     rows += [[f"counters.{k}", str(v)] for k, v in sorted(delta.items())]
     emit("bench_model_fastpath",
-         "Model-evaluation fast path: batched vs per-cell\n"
+         "Model-evaluation fast path: memoised vs per-cell rebuild\n"
          + format_table(["metric", "value"], rows))

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import time
 
-from repro.machine import get_architecture, predict_many
+from repro.machine import PerfModel, get_architecture, predict_workload
 from repro.machine.workloads import ITERATIONS, SPMM_VECTORS
 from repro.obs.perf import metric
+from repro.spmv.schedule import get_schedule
 from repro.util import format_table
 
 WORKLOADS = ("spmv", "cg", "jacobi", "spgemm", "spmm")
@@ -46,20 +47,22 @@ def test_workload_model_scores(corpus, emit, emit_json, record_bench):
     ratios = {w: [] for w in WORKLOADS}
     t0 = time.perf_counter()
     for e in square:
-        out = predict_many(e.matrix, architectures=archs,
-                           kernels=("1d",), workloads=WORKLOADS)
-        for (arch, kernel, nt, w), wp in out.items():
-            totals[w] += wp.seconds
-            flops[w] += wp.flops
-            base = out[(arch, kernel, nt, "spmv")]
-            ratio = wp.seconds / base.seconds
-            ratios[w].append(ratio)
-            if w in ("cg", "jacobi"):
-                assert ratio > ITERATIONS[w], (e.name, arch, w)
-            elif w == "spmm":
-                assert 1.0 <= ratio < SPMM_VECTORS, (e.name, arch)
-            elif w == "spgemm":
-                assert ratio >= 1.0, (e.name, arch)
+        a = e.matrix
+        for arch in archs:
+            pred = PerfModel(arch).predict(
+                a, get_schedule(a, "1d", arch.threads))
+            for w in WORKLOADS:
+                wp = predict_workload(a, w, arch, pred)
+                totals[w] += wp.seconds
+                flops[w] += wp.flops
+                ratio = wp.seconds / pred.seconds
+                ratios[w].append(ratio)
+                if w in ("cg", "jacobi"):
+                    assert ratio > ITERATIONS[w], (e.name, arch.name, w)
+                elif w == "spmm":
+                    assert 1.0 <= ratio < SPMM_VECTORS, (e.name, arch.name)
+                elif w == "spgemm":
+                    assert ratio >= 1.0, (e.name, arch.name)
     wall = time.perf_counter() - t0
 
     geo = {w: _geomean(ratios[w]) for w in WORKLOADS}

@@ -1,17 +1,17 @@
-"""Differential checks of the performance model's fast paths.
+"""Differential checks of the performance model's fast path.
 
 The model has two layers of "clever" code that must stay bit-identical
 to their naive definitions:
 
-* the **reuse primitives** (:mod:`repro.machine.reuse`) — one-argsort
-  previous-occurrence arrays and merge-counted LRU stack distances.
-  Each is cross-validated against a naive per-element Python oracle
-  (dict of last positions, an explicit LRU stack);
-* the **batched fast path** — ``predict_many`` / ``simulate_many``
-  share one :class:`ReuseStats` pass and memoised schedules; their
-  output must equal naive per-cell evaluation with ``fastpath=False``
-  reference models, cell by cell, bit for bit.  This also covers the
-  per-window distinct counting the vectorised pass inlines.
+* the **reuse primitive** (:mod:`repro.machine.reuse`) — the
+  one-argsort previous-occurrence array, cross-validated against a
+  naive per-element Python oracle (a dict of last positions);
+* the **memoised fast path** — per-cell :meth:`PerfModel.predict` on
+  one matrix object shares its :class:`ReuseStats` pass and memoised
+  schedules across architectures and kernels; every cell must equal
+  the ``fastpath=False`` reference model on a fresh matrix object, bit
+  for bit.  This also covers the per-window distinct counting the
+  vectorised pass inlines.
 
 The memoised :class:`ReuseStats` container is additionally checked
 against a from-scratch rebuild on an equal-but-distinct matrix object,
@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..machine import bench as bench_mod
 from ..machine import model as model_mod
 from ..machine import reuse as reuse_mod
 from ..machine.arch import get_architecture
 from ..matrix.csr import CSRMatrix
 from ..obs.trace import span
-from ..spmv import schedule_1d, schedule_2d
+from ..spmv.schedule import get_schedule, schedule_1d, schedule_2d
 from .findings import CheckReport
 
 SUITE = "model"
@@ -48,18 +47,6 @@ def _naive_prev(stream) -> np.ndarray:
     return prev
 
 
-def _naive_stack_distances(stream) -> np.ndarray:
-    stack: list = []
-    dist = np.full(len(stream), -1, dtype=np.int64)
-    for i, v in enumerate(stream):
-        v = int(v)
-        if v in stack:
-            dist[i] = stack[::-1].index(v)  # distinct values above v
-            stack.remove(v)
-        stack.append(v)  # top of stack = end of list
-    return dist
-
-
 def _fresh_copy(a: CSRMatrix) -> CSRMatrix:
     """An equal matrix sharing no object identity with ``a`` — a memo
     keyed or cached on the original object cannot serve it."""
@@ -74,7 +61,7 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
         for name, a in matrices:
             subject = f"matrix={name}"
             lines = a.colidx // words_per_line
-            small = lines[:512]  # the list-based oracles are O(n^2)
+            small = lines[:512]  # keeps the Python-loop oracle cheap
 
             prev = reuse_mod.prev_occurrence(small)
             want = _naive_prev(small)
@@ -83,14 +70,6 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
                 "prev-occurrence-matches-naive", subject,
                 "argsort-based previous-occurrence differs from the "
                 "dict-of-last-positions oracle")
-
-            got = reuse_mod.stack_distances(prev)
-            naive = _naive_stack_distances(small)
-            report.check(
-                bool(np.array_equal(got, naive)), SUITE,
-                "stack-distance-matches-naive", subject,
-                "merge-counted stack distances differ from the "
-                "explicit-LRU-stack oracle")
 
             # the memo must serve statistics of *this* matrix: compare
             # against a from-scratch rebuild on an equal fresh object
@@ -111,25 +90,25 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
 
 
 def check_model_fastpath(matrices, architectures=CHECK_ARCHS) -> CheckReport:
-    """Batched fast-path evaluation vs naive per-cell reference."""
+    """Memoised per-cell fast path vs the naive reference model."""
     archs = [get_architecture(n) for n in architectures]
     report = CheckReport(suites=[SUITE])
     with span("check.model.fastpath"):
         for name, a in matrices:
             if a.nnz == 0:
                 continue  # the model is defined over nonempty matrices
-            preds = model_mod.predict_many(a, archs, kernels=("1d", "2d"))
             for arch in archs:
+                model = model_mod.PerfModel(arch)
+                reference = model_mod.PerfModel(arch, fastpath=False)
                 for kernel in ("1d", "2d"):
                     subject = (f"matrix={name} arch={arch.name} "
                                f"kernel={kernel}")
-                    reference = model_mod.PerfModel(
-                        arch, fastpath=False)
+                    got = model.predict(
+                        a, get_schedule(a, kernel, arch.threads))
                     schedule = (schedule_1d(a, arch.threads)
                                 if kernel == "1d"
                                 else schedule_2d(a, arch.threads))
                     want = reference.predict(_fresh_copy(a), schedule)
-                    got = preds[(arch.name, kernel, arch.threads)]
                     report.check(
                         got.seconds == want.seconds
                         and got.x_line_loads == want.x_line_loads
@@ -139,18 +118,6 @@ def check_model_fastpath(matrices, architectures=CHECK_ARCHS) -> CheckReport:
                         f"fastpath seconds={got.seconds!r} "
                         f"x_line_loads={got.x_line_loads} vs naive "
                         f"{want.seconds!r}/{want.x_line_loads}")
-
-            batched = bench_mod.simulate_many(
-                a, archs, kernels=("1d", "2d"), matrix_name=name,
-                ordering_name="original")
-            single = [bench_mod.simulate_measurement(
-                          a, arch, kernel, name, "original")
-                      for arch in archs for kernel in ("1d", "2d")]
-            report.check(
-                batched == single, SUITE,
-                "simulate-many-matches-per-cell", f"matrix={name}",
-                "batched measurement records differ from per-cell "
-                "simulate_measurement calls")
     return report
 
 

@@ -209,8 +209,10 @@ def _table_title(kernel: str) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    from ..errors import HarnessError, ReorderingError
+    from ..errors import (ArchitectureError, HarnessError, ReorderingError,
+                          ScheduleError)
     from ..reorder.registry import check_ordering_names
+    from ..spmv.registry import resolve_workload
     from ..util.timing import Timer
     from .engine import SweepEngine
     from .experiments import REORDERINGS, experiment_speedups
@@ -220,9 +222,15 @@ def _cmd_sweep(args) -> int:
 
     orderings = (args.orderings.split(",") if args.orderings
                  else list(REORDERINGS))
+    kernels = tuple(args.kernels.split(","))
     try:
         check_ordering_names(orderings)
-    except ReorderingError as exc:
+        for kernel in kernels:
+            resolve_workload(kernel)
+        archs = [get_architecture(n)
+                 for n in (args.archs.split(",")
+                           if args.archs else architecture_names())]
+    except (ReorderingError, ScheduleError, ArchitectureError) as exc:
         log.error("sweep: %s", exc)
         return 2
     snapshot = None
@@ -238,10 +246,6 @@ def _cmd_sweep(args) -> int:
             corpus = build_corpus(args.tier, seed=args.seed)
         if args.limit:
             corpus = corpus[:args.limit]
-    archs = [get_architecture(n)
-             for n in (args.archs.split(",")
-                       if args.archs else architecture_names())]
-    kernels = tuple(args.kernels.split(","))
     if args.trace:
         # stream every finished span to a sidecar JSONL next to the
         # final Chrome trace so a killed run still leaves evidence;

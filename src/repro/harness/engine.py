@@ -76,6 +76,7 @@ from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
                          set_trace_context, span)
 from ..reorder.registry import check_ordering_names
+from ..spmv.registry import resolve_workload
 
 JOURNAL_VERSION = 1
 
@@ -436,8 +437,8 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
         t0 = time.perf_counter()
         with span("reuse_stats", matrix=entry.name,
                   ordering=ordering_name):
-            reuse = ReuseStats.for_matrix(matrix)
-            reuse.prepare(hot_lines if matrix.nnz else ())
+            ReuseStats.for_matrix(matrix).prepare(
+                hot_lines if matrix.nnz else ())
         timings["reuse_stats"] += time.perf_counter() - t0
         for arch, model, kernel in wanted:
             cell = (entry.name, ordering_name, kernel, arch.name)
@@ -449,7 +450,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                              arch=arch.name):
                     rec = simulate_measurement(
                         matrix, arch, kernel, entry.name, ordering_name,
-                        model=model, reuse=reuse)
+                        model=model)
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 failures.append(FailedCell(
                     matrix=entry.name, ordering=ordering_name,
@@ -539,6 +540,7 @@ class SweepEngine:
         ``"original"`` baseline is always measured) × kernel kinds or
         workload specs, with the orderings' seed.  An unregistered
         ordering name raises :class:`~repro.errors.ReorderingError`
+        and an unknown kernel spec :class:`~repro.errors.ScheduleError`
         here, before any cell runs.
     cache:
         The :class:`~repro.harness.runner.OrderingCache` an inline run
@@ -601,6 +603,8 @@ class SweepEngine:
             raise HarnessError(
                 f"shard_bytes must be positive, got {shard_bytes}")
         check_ordering_names(orderings)
+        for kernel in kernels:
+            resolve_workload(kernel)
         self.corpus = list(corpus)
         self.architectures = list(architectures)
         self.orderings = [o for o in orderings if o != "original"]

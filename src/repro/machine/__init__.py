@@ -23,10 +23,10 @@ comparable.
 
 from .arch import Architecture, TABLE2, get_architecture, architecture_names
 from .cache import LRUCache
-from .model import PerfModel, SpmvPrediction, predict_many
+from .model import PerfModel, SpmvPrediction
 from .numa import NumaModel
 from .reuse import ReuseStats
-from .bench import MeasurementRecord, simulate_many, simulate_measurement
+from .bench import MeasurementRecord, simulate_measurement
 from .workloads import WorkloadPrediction, predict_workload
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
     "SpmvPrediction",
     "MeasurementRecord",
     "WorkloadPrediction",
-    "predict_many",
     "predict_workload",
-    "simulate_many",
     "simulate_measurement",
 ]

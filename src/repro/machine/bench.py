@@ -22,7 +22,6 @@ from ..spmv.registry import resolve_workload
 from ..spmv.schedule import build_schedule, get_schedule
 from .arch import Architecture
 from .model import PerfModel
-from .reuse import ReuseStats
 
 #: modelled relative gap between best-of-100 and mean-of-97 performance
 MEAN_PERF_FACTOR = 0.97
@@ -54,27 +53,21 @@ class MeasurementRecord:
     gflops_mean: float
     workload: str = "spmv"
 
-    def row(self) -> list:
-        """The 7-column artifact layout (plus identifying prefix)."""
-        return [self.matrix, self.ordering, self.kernel, self.architecture,
-                self.nthreads, self.nnz_min, self.nnz_max, self.nnz_mean,
-                self.imbalance, self.seconds, self.gflops_max,
-                self.gflops_mean]
-
 
 def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
                          matrix_name: str = "", ordering_name: str = "",
-                         model: PerfModel | None = None,
-                         reuse: ReuseStats | None = None) -> MeasurementRecord:
+                         model: PerfModel | None = None) -> MeasurementRecord:
     """Run the model on ``a`` and package the artifact-shaped record.
 
-    ``reuse`` optionally threads precomputed per-(matrix, ordering)
-    statistics through to the model so batched callers (the sweep
-    engine, :func:`simulate_many`) share one statistics pass across
-    all architectures and kernels.  With a fast-path model the thread
-    schedule is likewise served from the per-matrix schedule cache; a
-    ``fastpath=False`` reference model keeps the historical
-    rebuild-per-call behaviour (the fast-path benchmark times both).
+    ``kernel`` is a workload spec
+    (:func:`repro.spmv.registry.resolve_workload`): the historical
+    kernel kinds score one SpMV, while ``"cg"``/``"jacobi"``/
+    ``"spgemm"``/``"spmm"`` (optionally ``":kind"``-suffixed) score
+    that workload on the same schedule.  A fast-path model reads the
+    statistics and schedule memoised on ``a``, so a loop over
+    architectures and kernels on one matrix object shares one
+    statistics pass; a ``fastpath=False`` reference model rebuilds the
+    schedule per call (the fast-path benchmark times both).
     """
     workload, kind = resolve_workload(kernel)
     model = model if model is not None else PerfModel(arch)
@@ -82,7 +75,7 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
         schedule = get_schedule(a, kind, arch.threads)
     else:
         schedule = build_schedule(a, kind, arch.threads)
-    pred = model.predict(a, schedule, reuse=reuse)
+    pred = model.predict(a, schedule)
     if workload == "spmv":
         seconds, gflops = pred.seconds, pred.gflops
     else:
@@ -108,26 +101,3 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
         gflops_mean=gflops * MEAN_PERF_FACTOR,
         workload=workload,
     )
-
-
-def simulate_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
-                  matrix_name: str = "", ordering_name: str = "") -> list:
-    """Batched :func:`simulate_measurement` over architectures × kernels.
-
-    One :class:`ReuseStats` pass serves every cell, and schedules are
-    shared between architectures with equal core counts.  Records come
-    back in (architecture, kernel) iteration order and are bit-identical
-    to per-cell ``simulate_measurement`` calls.
-
-    ``kernels`` entries are workload specs
-    (:func:`repro.spmv.registry.resolve_workload`): the historical
-    kernel kinds score one SpMV, while ``"cg"``/``"jacobi"``/
-    ``"spgemm"``/``"spmm"`` (optionally ``":kind"``-suffixed) score
-    that workload on the same schedule — so sweeps extend to the new
-    workloads by listing them on their existing kernel axis.
-    """
-    reuse = ReuseStats.for_matrix(a)
-    return [simulate_measurement(a, arch, kernel, matrix_name,
-                                 ordering_name, model=PerfModel(arch),
-                                 reuse=reuse)
-            for arch in architectures for kernel in kernels]

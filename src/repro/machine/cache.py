@@ -15,7 +15,6 @@ import numpy as np
 from ..errors import ArchitectureError
 from ..matrix.csr import CSRMatrix
 from ..obs import cachestats
-from .reuse import prev_occurrence, stack_distances
 
 
 class LRUCache:
@@ -85,56 +84,11 @@ class LRUCache:
         return False
 
     def access_many(self, addrs) -> int:
-        """Access a sequence of addresses; returns the miss count.
-
-        A fully-associative cache starting from an empty state takes a
-        vectorised path: exact LRU stack distances (an access hits iff
-        its distance is below the associativity) computed from the
-        previous-occurrence array, with the final cache state — tags,
-        recency order and clock — reconstructed exactly as the
-        per-access loop would leave them.  Set-associative caches (or a
-        warm fully-associative one) fall back to the per-access
-        reference loop; the two paths are cross-checked in the tests.
-        """
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if (self.nsets == 1 and not self._sets[0] and addrs.size):
-            return self._access_many_full_assoc(addrs)
+        """Access a sequence of addresses; returns the miss count."""
         before = self.misses
-        for a in addrs:
+        for a in np.asarray(addrs, dtype=np.int64):
             self.access(int(a))
         return self.misses - before
-
-    def _access_many_full_assoc(self, addrs: np.ndarray) -> int:
-        """Vectorised trace replay for an *empty* fully-associative
-        cache.  With one set, tag == line, and LRU hit/miss depends
-        only on the stack distance: access ``i`` hits iff the number of
-        distinct lines since its previous occurrence is below the
-        associativity (cold accesses miss)."""
-        lines = addrs // self.line_size
-        prev = prev_occurrence(lines)
-        dist = stack_distances(prev)
-        hit = (dist >= 0) & (dist < self.associativity)
-        n = int(lines.size)
-        nhits = int(np.count_nonzero(hit))
-        self.hits += nhits
-        misses = n - nhits
-        self.misses += misses
-        # every miss inserts a line; starting from empty, whatever does
-        # not remain resident at the end was evicted along the way
-        ndistinct = int(np.count_nonzero(prev < 0))
-        self.evictions += misses - min(self.associativity, ndistinct)
-        # exact end state: the loop leaves the associativity most
-        # recently used distinct lines, stamped with the clock of each
-        # line's last access (clock0 + position + 1)
-        clock0 = self._clock
-        has_next = np.zeros(n, dtype=bool)
-        has_next[prev[prev >= 0]] = True
-        last_pos = np.flatnonzero(~has_next)  # ascending == recency order
-        ways = self._sets[0]
-        for p in last_pos[-self.associativity:]:
-            ways[int(lines[p])] = clock0 + int(p) + 1
-        self._clock = clock0 + n
-        return misses
 
 
 def simulate_x_misses(a: CSRMatrix, cache: LRUCache,

@@ -59,8 +59,7 @@ import numpy as np
 
 from ..matrix.csr import CSRMatrix
 from ..obs.metrics import REGISTRY
-from ..obs.trace import span
-from ..spmv.schedule import Schedule, get_schedule
+from ..spmv.schedule import Schedule
 from .arch import Architecture
 from .reuse import ReuseStats
 
@@ -322,21 +321,18 @@ class PerfModel:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def predict(self, a: CSRMatrix, schedule: Schedule,
-                reuse: ReuseStats | None = None) -> SpmvPrediction:
+    def predict(self, a: CSRMatrix, schedule: Schedule) -> SpmvPrediction:
         """Predict one warm-cache SpMV iteration under ``schedule``.
 
-        ``reuse`` supplies precomputed per-matrix statistics; when
-        omitted (and ``fastpath`` is on) the memoised per-matrix stats
-        are used, so repeated predictions on the same matrix object —
-        across architectures, kernels and thread counts — share one
-        previous-occurrence pass.  The scalar reference ignores it.
+        The fast path reads the statistics memoised on ``a``
+        (:meth:`ReuseStats.for_matrix`), so repeated predictions on the
+        same matrix object — across architectures, kernels and thread
+        counts — share one previous-occurrence pass.
         """
         REGISTRY.counter("model.predicts").inc()
         resid = self.llc_residency(a)
         if self.fastpath:
-            if reuse is None:
-                reuse = ReuseStats.for_matrix(a)
+            reuse = ReuseStats.for_matrix(a)
             prev = None
             if self.locality_term and a.nnz:
                 prev = reuse.prev(self.arch.line_size // 8)
@@ -359,56 +355,3 @@ class PerfModel:
                               x_line_loads=int(x_loads.sum()),
                               gflops=gflops, bytes_total=total_bytes,
                               llc_residency=resid)
-
-
-def predict_many(a: CSRMatrix, architectures, kernels=("1d", "2d"),
-                 workloads=None) -> dict:
-    """Batched model evaluation over architectures × kernels.
-
-    Computes the per-(matrix, ordering) sufficient statistics once (one
-    argsort over the cache-line id stream, one row-length-change prefix
-    sum) and serves every requested cell from them; schedules are
-    memoised per (matrix, kind, nthreads), so architectures with equal
-    core counts share them too.  Each architecture runs with its own
-    ``arch.threads`` (the study's one-thread-per-core setting).
-    Returns ``{(arch.name, kernel, arch.threads): SpmvPrediction}``
-    whose entries are **bit-identical** to calling
-    :meth:`PerfModel.predict` per cell (the golden-equivalence suite
-    asserts this).
-
-    Parameters
-    ----------
-    architectures:
-        Iterable of :class:`Architecture`.
-    kernels:
-        Schedule kinds (``"1d"`` / ``"2d"`` / ``"merge"``).
-    workloads:
-        ``None`` (the default) keeps the historical 3-tuple keys and
-        :class:`SpmvPrediction` values bit-identically.  A tuple of
-        workload names (:data:`repro.spmv.registry.WORKLOADS`) adds a
-        fourth key axis: ``{(arch.name, kernel, nthreads, workload):
-        WorkloadPrediction}``, with every workload score derived from
-        the one base SpMV prediction of its cell (see
-        :mod:`repro.machine.workloads`).
-    """
-    reuse = ReuseStats.for_matrix(a)
-    architectures = list(architectures)
-    out = {}
-    with span("model.predict_many", nnz=a.nnz,
-              architectures=len(architectures), kernels=list(kernels),
-              workloads=list(workloads) if workloads else []):
-        for arch in architectures:
-            model = PerfModel(arch)
-            nt = arch.threads
-            for kernel in kernels:
-                schedule = get_schedule(a, kernel, nt)
-                pred = model.predict(a, schedule, reuse=reuse)
-                if workloads is None:
-                    out[(arch.name, kernel, nt)] = pred
-                    continue
-                from .workloads import predict_workload
-
-                for workload in workloads:
-                    out[(arch.name, kernel, nt, workload)] = \
-                        predict_workload(a, workload, arch, pred)
-    return out

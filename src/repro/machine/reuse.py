@@ -21,13 +21,11 @@ count from them:
   (:meth:`PerfModel._x_loads_batch`) counts every thread's windows
   this way in O(nnz), **bit-identical** to the per-window
   ``np.unique`` loop of its scalar reference.
-* :func:`stack_distances` — exact fully-associative LRU stack
-  distances, computed with a vectorised merge-counting pass (no
-  per-access Python loop); used by the cache simulator's fast path.
-* :class:`ReuseStats` — the memoised per-matrix container threaded
-  through ``simulate_measurement`` and ``predict_many`` so
-  line ids, previous occurrences and row-length-change prefix sums are
-  shared across all cells of one (matrix, ordering).
+* :class:`ReuseStats` — the per-matrix container memoised on the
+  matrix object (:meth:`ReuseStats.for_matrix`), so every
+  :meth:`PerfModel.predict` on one (matrix, ordering) — whatever the
+  architecture, kernel or thread count — shares its line ids,
+  previous occurrences and row-length-change prefix sums.
 
 Build/hit counters live in the process-global
 :data:`repro.obs.REGISTRY` (``reuse.builds`` / ``reuse.hits`` /
@@ -82,72 +80,6 @@ def prev_occurrence(stream: np.ndarray) -> np.ndarray:
     same = svals[1:] == svals[:-1]
     prev[order[1:][same]] = order[:-1][same]
     return prev
-
-
-def _rank_before(values: np.ndarray) -> np.ndarray:
-    """For every ``i``: ``#{j < i : values[j] <= values[i]}``.
-
-    Bottom-up merge counting: at each level, adjacent blocks of size
-    ``s`` are merged pairwise with one global lexsort; inside each pair
-    a left-block element sorts before a right-block element of equal
-    value (``is_right`` tie-break), so a cumulative count of left
-    elements gives each right element its ``<=`` contribution.  Every
-    ordered pair ``(j, i)`` meets in sibling blocks at exactly one
-    level, so the contributions sum to the exact rank.  O(log n)
-    vectorised passes, no per-element Python loop.
-    """
-    v = np.asarray(values)
-    n = v.size
-    rank = np.zeros(n, dtype=np.int64)
-    if n < 2:
-        return rank
-    idx = np.arange(n, dtype=np.int64)
-    size = 1
-    while size < n:
-        pair = idx // (2 * size)
-        is_right = (idx // size) & 1
-        order = np.lexsort((is_right, v, pair))
-        left_sorted = 1 - is_right[order]
-        csum = np.cumsum(left_sorted)
-        pair_sorted = pair[order]
-        seg_first = np.empty(n, dtype=bool)
-        seg_first[0] = True
-        seg_first[1:] = pair_sorted[1:] != pair_sorted[:-1]
-        starts = np.flatnonzero(seg_first)
-        base_vals = np.where(starts > 0, csum[np.maximum(starts - 1, 0)], 0)
-        base = base_vals[np.cumsum(seg_first) - 1]
-        # left elements earlier in this pair's merged order
-        contrib = csum - left_sorted - base
-        right_positions = order[is_right[order] == 1]
-        rank[right_positions] += contrib[is_right[order] == 1]
-        size *= 2
-    return rank
-
-
-def stack_distances(prev: np.ndarray) -> np.ndarray:
-    """Exact LRU stack distance of every access of a reference stream.
-
-    ``dist[i]`` is the number of *distinct* values accessed strictly
-    between the previous occurrence of ``stream[i]`` and position
-    ``i``; first occurrences get ``-1`` (cold).  A fully-associative
-    LRU cache of capacity ``C`` (starting empty) hits access ``i``
-    exactly when ``0 <= dist[i] < C``.
-
-    Derivation: with ``p = prev[i] >= 0``, the distinct values in
-    ``(p, i)`` are the positions ``j`` there whose own previous
-    occurrence satisfies ``prev[j] <= p``.  Because ``prev[j] < j``
-    always holds, *every* ``j <= p`` also satisfies ``prev[j] <= p``,
-    so ``#{j < i : prev[j] <= p} = (p + 1) + dist[i]`` — one
-    rank-before query on the ``prev`` array itself.
-    """
-    prev = np.asarray(prev, dtype=np.int64)
-    dist = np.full(prev.size, -1, dtype=np.int64)
-    if prev.size == 0:
-        return dist
-    rank = _rank_before(prev)
-    warm = prev >= 0
-    dist[warm] = rank[warm] - (prev[warm] + 1)
-    return dist
 
 
 # ----------------------------------------------------------------------

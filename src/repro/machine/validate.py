@@ -21,6 +21,9 @@ from ..matrix.csr import CSRMatrix
 from .cache import LRUCache, simulate_x_misses
 from .model import PerfModel
 
+#: ways of the simulated LRU cache (capped at the cache's line count)
+SIM_ASSOCIATIVITY = 8
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -49,7 +52,6 @@ class ValidationReport:
 
 
 def validate_x_traffic_model(matrices, cache_lines: int = 64,
-                             associativity: int = 8,
                              labels=None) -> ValidationReport:
     """Compare model load counts vs exact LRU misses for ``matrices``.
 
@@ -76,7 +78,7 @@ def validate_x_traffic_model(matrices, cache_lines: int = 64,
         probe = _Probe(get_architecture("Rome"))
         model_loads.append(probe._x_line_loads(a.colidx))
         sim = LRUCache(size=cache_lines * 64, line_size=64,
-                       associativity=min(associativity, cache_lines))
+                       associativity=min(SIM_ASSOCIATIVITY, cache_lines))
         exact.append(simulate_x_misses(a, sim))
     return ValidationReport(
         model_loads=np.array(model_loads, dtype=np.float64),

@@ -21,9 +21,8 @@ reordering pays off differently in each wrapper:
   time is amortised by the bytes ratio.
 
 Everything is a deterministic, closed-form function of one
-:class:`~repro.machine.model.SpmvPrediction`, so the batched fast path
-(:func:`repro.machine.model.predict_many` with ``workloads=``) and the
-per-cell path are bit-identical by construction.
+:class:`~repro.machine.model.SpmvPrediction`, so every workload of a
+cell is scored from the one SpMV prediction of that cell.
 """
 
 from __future__ import annotations

@@ -104,6 +104,29 @@ def test_sweep_rejects_unknown_ordering_before_building_corpus(
     assert "known: original, RCM," in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kernels", "1d,3d", "unknown kernel/workload spec '3d'"),
+    ("--archs", "Rome,NOPE", "unknown architecture 'NOPE'"),
+])
+def test_sweep_rejects_bad_grid_axis_before_building_corpus(
+        capsys, tmp_path, monkeypatch, flag, value, message):
+    from repro.harness import cli
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus built before the axes were checked")
+
+    monkeypatch.setattr(cli, "build_corpus", no_corpus)
+    args = {"--archs": "Rome", "--kernels": "1d", flag: value}
+    assert main(["sweep", "--tier", "tiny", "--limit", "1",
+                 "--orderings", "RCM",
+                 "--archs", args["--archs"], "--kernels", args["--kernels"],
+                 "--cache", str(tmp_path / "cache"),
+                 "--metrics", "", "--manifest", ""]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_strict_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         main(_sweep_args(tmp_path, "--strict"))

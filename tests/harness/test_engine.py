@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import HarnessError, ReorderingError
+from repro.errors import HarnessError, ReorderingError, ScheduleError
 from repro.generators import build_corpus
 from repro.harness import (
     FailedCell,
@@ -261,6 +261,16 @@ def test_unknown_ordering_rejected_before_any_cell(tiny_corpus, rome,
         SweepEngine(tiny_corpus[:1], rome, ["RCM", "NOPE"])
     # a name registered at run time is known
     SweepEngine(tiny_corpus[:1], rome, ["RCM", exploding_ordering])
+
+
+def test_unknown_kernel_rejected_before_any_cell(tiny_corpus, rome):
+    with pytest.raises(ScheduleError, match="unknown kernel/workload "
+                                            "spec '3d'"):
+        SweepEngine(tiny_corpus[:1], rome, ["RCM"], kernels=("1d", "3d"))
+    with pytest.raises(ScheduleError, match="unknown schedule kind"):
+        SweepEngine(tiny_corpus[:1], rome, ["RCM"], kernels=("cg:3d",))
+    SweepEngine(tiny_corpus[:1], rome, ["RCM"],
+                kernels=("1d", "merge", "cg", "spmm:2d"))
 
 
 def test_raising_ordering_yields_failed_cells_not_a_crash(

@@ -104,7 +104,8 @@ def test_simulate_measurement_record(rome, rng):
     assert rec.nnz_min <= rec.nnz_mean <= rec.nnz_max
     assert rec.imbalance >= 1.0
     assert rec.gflops_mean < rec.gflops_max
-    assert len(rec.row()) == 12
+    assert (rec.matrix, rec.ordering) == ("m", "RCM")
+    assert rec == simulate_measurement(a, rome, "1d", "m", "RCM")
 
 
 def test_simulate_measurement_2d_balanced(rome, rng):

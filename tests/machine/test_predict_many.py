@@ -1,4 +1,4 @@
-"""Golden-equivalence suite for the batched prediction fast path.
+"""Golden-equivalence suite for the memoised prediction fast path.
 
 The contract of the fast path (``ReuseStats`` + memoised schedules +
 the vectorised all-threads pass) is **bit-identity**: every field of
@@ -8,7 +8,10 @@ every :class:`SpmvPrediction` must equal — with ``==``, not
 object) produces.  This is checked over a small corpus slice, every
 ordering of the study, all eight Table 2 architectures and both
 kernels, with GP recomputed per distinct ``gp_parts`` exactly as the
-sweep engine groups it.  :class:`NumaModel` runs the same grid under
+sweep engine groups it.  The fast side evaluates every cell of a
+variant with per-cell :meth:`PerfModel.predict` calls on one matrix
+object, so later cells are served from the statistics and schedules
+the first ones memoised.  :class:`NumaModel` runs the same grid under
 each of its three placements: its remote-x surcharge is added through
 the per-thread hook both paths share, so it too must be bit-identical.
 """
@@ -18,8 +21,8 @@ import pytest
 
 from repro.generators.suite import build_corpus
 from repro.machine.arch import TABLE2
-from repro.machine.bench import simulate_measurement, simulate_many
-from repro.machine.model import PerfModel, predict_many
+from repro.machine.bench import simulate_measurement
+from repro.machine.model import PerfModel
 from repro.machine.numa import PLACEMENTS, NumaModel
 from repro.matrix.csr import CSRMatrix
 from repro.reorder.registry import ALL_ORDERINGS, compute_ordering
@@ -84,17 +87,16 @@ def iter_variants(entry, seed=0):
             yield name, result.apply(a)
 
 
-def test_predict_many_bit_identical_to_per_cell_predict(variants):
+def test_per_cell_predict_bit_identical_to_reference(variants):
     for name, ordering, b in variants:
-        out = predict_many(b, ARCHS)
-        assert set(out) == {(arch.name, kernel, arch.threads)
-                            for arch in ARCHS for kernel in ("1d", "2d")}
         for arch in ARCHS:
+            model = PerfModel(arch)
             for kernel in ("1d", "2d"):
+                fast = model.predict(b, get_schedule(b, kernel,
+                                                     arch.threads))
                 ref = reference_prediction(b, arch, kernel)
                 assert_same_prediction(
-                    out[(arch.name, kernel, arch.threads)], ref,
-                    (name, ordering, arch.name, kernel))
+                    fast, ref, (name, ordering, arch.name, kernel))
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
@@ -112,11 +114,13 @@ def test_numa_model_fast_matches_reference(variants, placement):
                     fast, ref, (name, ordering, arch.name, kernel))
 
 
-def test_simulate_many_bit_identical_to_per_cell_records(corpus_slice):
+def test_simulate_measurement_bit_identical_to_reference_records(
+        corpus_slice):
     for entry in corpus_slice[:2]:
         b = fresh_copy(entry.matrix)
-        fast = simulate_many(b, ARCHS, matrix_name=entry.name,
-                             ordering_name="original")
+        fast = [simulate_measurement(b, arch, kernel, entry.name,
+                                     "original")
+                for arch in ARCHS for kernel in ("1d", "2d")]
         legacy = [simulate_measurement(fresh_copy(entry.matrix), arch,
                                        kernel, entry.name, "original",
                                        model=PerfModel(arch, fastpath=False))

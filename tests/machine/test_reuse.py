@@ -1,21 +1,19 @@
 """Property tests for the reuse-distance sufficient statistics.
 
-The fast path of the performance model rests on three identities; each
+The fast path of the performance model rests on two identities; each
 is checked here against the brute-force definition on random streams:
 
 * ``prev_occurrence`` must equal the dict-of-last-positions
   definition (the model's vectorised pass counts distinct lines per
   window from it, and its predictions are asserted bit-identical to
   the per-window ``np.unique`` reference downstream);
-* ``stack_distances`` must equal the O(n²) distinct-values-between
-  definition;
 * :class:`ReuseStats` must memoise per matrix object and report its
   build/hit counters faithfully.
 """
 
 import numpy as np
 
-from repro.machine.reuse import ReuseStats, prev_occurrence, stack_distances
+from repro.machine.reuse import ReuseStats, prev_occurrence
 from repro.obs.metrics import REGISTRY
 from ..conftest import random_csr
 
@@ -44,22 +42,6 @@ def random_streams(rng):
 def test_prev_occurrence_matches_brute_force(rng):
     for stream in random_streams(rng):
         assert np.array_equal(prev_occurrence(stream), brute_prev(stream))
-
-
-def brute_stack_distances(stream):
-    out = np.full(len(stream), -1, dtype=np.int64)
-    last = {}
-    for i, v in enumerate(stream):
-        if v in last:
-            out[i] = len(set(stream[last[v] + 1:i]))
-        last[v] = i
-    return out
-
-
-def test_stack_distances_match_brute_force(rng):
-    for stream in random_streams(rng):
-        got = stack_distances(prev_occurrence(stream))
-        assert np.array_equal(got, brute_stack_distances(stream))
 
 
 def test_reuse_stats_memoised_per_matrix(rng):

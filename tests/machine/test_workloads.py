@@ -1,4 +1,4 @@
-"""The machine model's workload axis: scoring, batching, simulation."""
+"""The machine model's workload axis: scoring and simulation."""
 
 import dataclasses
 
@@ -10,9 +10,7 @@ from repro.generators import fem_mesh_2d, stencil_2d
 from repro.machine import (
     PerfModel,
     get_architecture,
-    predict_many,
     predict_workload,
-    simulate_many,
     simulate_measurement,
 )
 from repro.machine.bench import MeasurementRecord
@@ -96,30 +94,16 @@ def test_unknown_workload_raises(matrix, spmv_pred):
 
 
 # ----------------------------------------------------------------------
-# batched prediction and the measurement-shaped simulation
+# the workload axis and the measurement-shaped simulation
 # ----------------------------------------------------------------------
-def test_predict_many_legacy_keys_bit_identical(matrix):
-    legacy = predict_many(matrix, architectures=[ARCH], kernels=("1d",))
-    (key, pred), = legacy.items()
-    nt = ARCH.threads
-    assert key == (ARCH.name, "1d", nt)
-    model = PerfModel(ARCH)
-    direct = model.predict(matrix, schedule_1d(matrix, nt))
-    assert pred.seconds == direct.seconds
-    assert pred.gflops == direct.gflops
-
-
-def test_predict_many_workload_axis(matrix):
-    out = predict_many(matrix, architectures=[ARCH], kernels=("1d",),
-                       workloads=("spmv", "cg", "spmm"))
-    nt = ARCH.threads
-    assert set(out) == {(ARCH.name, "1d", nt, w)
-                       for w in ("spmv", "cg", "spmm")}
-    base = out[(ARCH.name, "1d", nt, "spmv")]
-    assert out[(ARCH.name, "1d", nt, "cg")].seconds > base.seconds
+def test_predict_workload_axis_shares_one_spmv_prediction(matrix,
+                                                          spmv_pred):
+    out = {w: predict_workload(matrix, w, ARCH, spmv_pred)
+           for w in ("spmv", "cg", "spmm")}
+    assert out["cg"].seconds > out["spmv"].seconds
     # every workload entry shares the same underlying SpMV prediction
     for wp in out.values():
-        assert wp.spmv.seconds == base.spmv.seconds
+        assert wp.spmv is spmv_pred
 
 
 def test_simulate_measurement_workload_specs(matrix):
@@ -134,13 +118,12 @@ def test_simulate_measurement_workload_specs(matrix):
     assert cg.gflops_mean != base.gflops_mean
 
 
-def test_simulate_many_mixed_specs():
+def test_simulate_measurement_mixed_specs():
     recs = []
     for name, a in (("a", stencil_2d(6, 6, seed=SEED)),
                     ("b", fem_mesh_2d(30, seed=SEED))):
-        recs.extend(simulate_many(a, architectures=[ARCH],
-                                  kernels=("1d", "cg", "spmm:2d"),
-                                  matrix_name=name))
+        recs.extend(simulate_measurement(a, ARCH, kernel, matrix_name=name)
+                    for kernel in ("1d", "cg", "spmm:2d"))
     kernels = {r.kernel for r in recs}
     assert kernels == {"1d", "cg", "spmm:2d"}
     workloads = {r.kernel: r.workload for r in recs}

@@ -113,19 +113,6 @@ def test_simulator_cache_stats_shape():
     assert stats["hit_rate"] == pytest.approx(1 / 3)
 
 
-def test_simulator_cache_vectorised_stats_match_reference():
-    from repro.machine.cache import LRUCache
-
-    rng = np.random.default_rng(7)
-    addrs = rng.integers(0, 16, size=200) * 8
-    fast = LRUCache(size=256, line_size=64, associativity=4)  # 1 set
-    slow = LRUCache(size=256, line_size=64, associativity=4)
-    fast.access_many(addrs)           # vectorised empty-cache path
-    for a in addrs:
-        slow.access(int(a))           # per-access reference loop
-    assert fast.stats == slow.stats
-
-
 def test_reuse_stats_cache_shape(small_symmetric_matrix):
     from repro.machine.reuse import ReuseStats, reuse_cache_stats
 
