@@ -8,10 +8,10 @@ against it.  The hard gates are **deterministic**:
 2. every 200 response is bit-identical to a direct, unbatched
    ``Advisor.advise`` call on a fresh advisor (batching must be
    invisible in the answers);
-3. the burst actually reaches the batched path: the server-side
-   batch-size histogram has mean > 1 and ``advise_many`` saw
-   multi-request batches (a daemon that degenerates to singleton
-   batches silently loses the fast path this subsystem exists for);
+3. the burst actually coalesces: the server-side batch-size
+   histogram has mean > 1 and at least one batch carried two or more
+   requests (a daemon that degenerates to singleton batches pays one
+   executor hop per request);
 4. the /metricsz SLO section carries the latency quantiles and shed
    counters dashboards key on.
 
@@ -50,17 +50,14 @@ def test_daemon_batches_and_answers_bit_identically(emit, emit_json):
     arch = get_architecture(ARCH_NAME)
     model = train_model(corpus=corpus, architectures=[arch],
                         orderings=ORDERINGS, seed=SEED)
-    advisor = Advisor(model, workers=2)
+    advisor = Advisor(model)
     trace = generate_trace([e.name for e in corpus], n=REQUESTS,
                            seed=SEED, rate=RATE)
     config = ServeConfig(port=0, rate=None, max_batch=32)
-    try:
-        with start_in_thread(advisor, corpus, config) as handle:
-            report = replay(trace, port=handle.port, arch=ARCH_NAME)
-            with ServeClient(handle.host, handle.port) as client:
-                metrics = client.metricsz()
-    finally:
-        advisor.close()
+    with start_in_thread(advisor, corpus, config) as handle:
+        report = replay(trace, port=handle.port, arch=ARCH_NAME)
+        with ServeClient(handle.host, handle.port) as client:
+            metrics = client.metricsz()
 
     # -- gate 1: nothing lost ------------------------------------------
     assert report.transport_failures == 0, \
@@ -81,7 +78,7 @@ def test_daemon_batches_and_answers_bit_identically(emit, emit_json):
             (f"request {req.id} ({req.matrix}): served advice differs "
              f"from the unbatched oracle:\n  {got}\nvs\n  {expected}")
 
-    # -- gate 3: the batched path was reached --------------------------
+    # -- gate 3: the burst coalesced ------------------------------------
     slo = metrics["slo"]
     batch = slo["batch"]
     assert batch["mean_size"] > 1.0, \

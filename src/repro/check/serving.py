@@ -10,10 +10,9 @@ daemon on a loopback port, replays a canned seeded trace, and checks:
 * ``serving-matches-unbatched-oracle`` — every 200 response is
   bit-identical to a direct :meth:`Advisor.advise` call on a *fresh*
   advisor (separate caches), i.e. batching is invisible.
-* ``serving-batches-requests`` — the canned burst actually exercises
-  the batched path (mean batch size > 1); a daemon that degenerates to
-  one-request batches silently loses the fast path this subsystem
-  exists for.
+* ``serving-batches-requests`` — the canned burst actually coalesces
+  (mean batch size > 1); a daemon that degenerates to one-request
+  batches pays one executor hop per request.
 * ``metricsz-schema`` — ``/metricsz`` carries the SLO quantities
   (p50/p95/p99 monotone, batch histogram consistent, shed counters
   present) that dashboards and the bench gate key on.
@@ -67,16 +66,13 @@ def _check_replay(report: CheckReport, corpus, arch, model,
     names = [e.name for e in corpus]
     trace = generate_trace(names, n=TRACE_N, seed=seed,
                            rate=TRACE_RATE)
-    advisor = Advisor(model, workers=2)
+    advisor = Advisor(model)
     config = ServeConfig(port=0, rate=None, max_batch=16,
                          drain_timeout=1.0)
-    try:
-        with start_in_thread(advisor, corpus, config) as handle:
-            result = replay(trace, port=handle.port, arch=arch.name,
-                            timeout=3.0)
-            metrics = _fetch_metrics(handle)
-    finally:
-        advisor.close()
+    with start_in_thread(advisor, corpus, config) as handle:
+        result = replay(trace, port=handle.port, arch=arch.name,
+                        timeout=3.0)
+        metrics = _fetch_metrics(handle)
 
     report.check(
         result.answered == len(trace)
@@ -166,20 +162,17 @@ def _check_reject_schema(report: CheckReport, corpus, arch,
     from ..advisor import Advisor
     from ..serve import ServeClient, ServeConfig, start_in_thread
 
-    advisor = Advisor(model, workers=2)
+    advisor = Advisor(model)
     config = ServeConfig(port=0, rate=0.001, burst=1.0,
                          drain_timeout=1.0)
-    try:
-        with start_in_thread(advisor, corpus, config) as handle, \
-                ServeClient(handle.host, handle.port) as client:
-            e = corpus[0]
-            first, _ = client.advise(e.name, arch=arch.name,
-                                     client="starved")
-            status, body = client.advise(e.name, arch=arch.name,
-                                         client="starved",
-                                         request_id="r2")
-    finally:
-        advisor.close()
+    with start_in_thread(advisor, corpus, config) as handle, \
+            ServeClient(handle.host, handle.port) as client:
+        e = corpus[0]
+        first, _ = client.advise(e.name, arch=arch.name,
+                                 client="starved")
+        status, body = client.advise(e.name, arch=arch.name,
+                                     client="starved",
+                                     request_id="r2")
 
     subject = "rate=0.001 burst=1"
     report.check(first == 200, SUITE, "reject-schema", subject,

@@ -4,11 +4,11 @@ The paper's end product is a *selection policy* — which reordering for
 this matrix on this machine — and :mod:`repro.advisor` answers that as
 a library call.  This package turns the answer into a service: a
 long-running asyncio daemon that shares one warm advisor (feature
-cache, advice cache, thread pool) across every client, coalesces
-concurrent requests into micro-batches that ride the batched
-``advise_many`` fast path, sheds load it cannot serve within its
-latency budget, and reports SLOs (p50/p95/p99 latency, batch-size
-histogram, queue wait, shed counts) through :mod:`repro.obs`.
+cache, advice cache) across every client, coalesces concurrent
+requests into micro-batches that one executor thread advises in
+arrival order, sheds load it cannot serve within its latency budget,
+and reports SLOs (p50/p95/p99 latency, batch-size histogram, queue
+wait, shed counts) through :mod:`repro.obs`.
 
 Layers (each its own module):
 
@@ -29,7 +29,7 @@ See ``docs/serving.md`` for the protocol and the knob reference, and
 
 from .admission import AdmissionController, Rejection, TokenBucket
 from .batching import MicroBatcher
-from .client import ServeClient, ServeUnavailable, get_json, post_json
+from .client import ServeClient, ServeUnavailable, post_json
 from .daemon import AdvisorDaemon, DaemonHandle, ServeConfig, \
     start_in_thread
 from .loadgen import LoadgenReport, TraceRequest, generate_trace, replay
@@ -52,7 +52,6 @@ __all__ = [
     "TraceRequest",
     "advice_to_wire",
     "generate_trace",
-    "get_json",
     "parse_advise_request",
     "post_json",
     "replay",

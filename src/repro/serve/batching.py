@@ -1,12 +1,13 @@
 """Request micro-batching: coalesce concurrent advise requests.
 
-The advisor's batched path (:meth:`repro.advisor.service.Advisor.
-advise_many`) amortizes thread-pool dispatch and shares cache locality
-across a whole batch — but network clients arrive one request at a
-time.  :class:`MicroBatcher` bridges the two: requests enqueue with a
-future, a single drain loop collects them into batches bounded by
-**max_batch**, and each batch is handed to an async ``flush`` callback
-whose results resolve the futures in order.
+Network clients arrive one request at a time, but the daemon hands
+work to its executor thread a batch at a time: one thread hop per
+batch instead of per request, with the batch advised in arrival order
+while the event loop keeps accepting.  :class:`MicroBatcher` bridges
+the two: requests enqueue with a future, a single drain loop collects
+them into batches bounded by **max_batch**, and each batch is handed
+to an async ``flush`` callback whose results resolve the futures in
+order.
 
 Batches form from back-pressure alone, never from a timer: a batch is
 the request at the head of the queue plus whatever is already queued
@@ -70,8 +71,6 @@ class MicroBatcher:
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: asyncio.Task | None = None
         self._closed = False
-        self.batches = 0
-        self.requests = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -93,7 +92,6 @@ class MicroBatcher:
         if self._closed:
             raise RuntimeError("MicroBatcher is closed")
         fut = asyncio.get_running_loop().create_future()
-        self.requests += 1
         self._queue.put_nowait((payload, fut, time.perf_counter()))
         return await fut
 
@@ -142,7 +140,6 @@ class MicroBatcher:
                     batch_size=len(batch))
         _BATCHES.inc()
         _BATCH_SIZES.observe(len(batch))
-        self.batches += 1
         payloads = [payload for payload, _, _ in batch]
         try:
             results = await self._flush(payloads)

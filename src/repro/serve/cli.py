@@ -57,8 +57,7 @@ def _cmd_serve(args) -> int:
     if args.limit:
         corpus = corpus[:args.limit]
     model = _load_or_train_model(args)
-    advisor = Advisor(model, iterations=args.iterations,
-                      workers=args.workers)
+    advisor = Advisor(model, iterations=args.iterations)
     config = ServeConfig(
         host=args.host, port=args.port, default_arch=args.arch,
         max_batch=args.max_batch, queue_depth=args.queue_depth,
@@ -78,7 +77,6 @@ def _cmd_serve(args) -> int:
         await daemon.serve_forever()
 
     asyncio.run(main())
-    advisor.close()
     if args.trace:
         nevents = obs_trace.TRACER.save(args.trace)
         obs_trace.disable()
@@ -163,11 +161,8 @@ def add_serve_parsers(sub) -> None:
                         "gating")
     p.add_argument("--cache", default=None,
                    help="directory for the training ordering cache")
-    p.add_argument("--workers", type=int, default=None,
-                   help="advisor thread-pool size for batched "
-                        "feature extraction")
     p.add_argument("--max-batch", type=int, default=32,
-                   help="largest micro-batch handed to advise_many")
+                   help="largest micro-batch advised in one executor hop")
     p.add_argument("--queue-depth", type=int, default=128,
                    help="queued requests beyond this are shed (429)")
     p.add_argument("--rate", type=float, default=50.0,

@@ -3,10 +3,10 @@
 * :class:`ServeClient` — a synchronous keep-alive client on stdlib
   :mod:`http.client`; what tests, the check suite and interactive use
   reach for.
-* :func:`post_json` / :func:`get_json` — single-shot async requests on
-  raw ``asyncio`` streams (``Connection: close``), the building block
-  of the open-loop load generator, which must fire requests on a
-  schedule without a connection pool serialising them.
+* :func:`post_json` — a single-shot async request on raw ``asyncio``
+  streams (``Connection: close``), the building block of the open-loop
+  load generator, which must fire requests on a schedule without a
+  connection pool serialising them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import http.client
 import json
 import socket
 
-__all__ = ["ServeClient", "ServeUnavailable", "get_json", "post_json"]
+__all__ = ["ServeClient", "ServeUnavailable", "post_json"]
 
 
 class ServeUnavailable(ConnectionError):
@@ -154,12 +154,4 @@ async def post_json(host: str, port: int, path: str, payload: dict,
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
     ).encode() + body
-    return await _roundtrip(host, port, request, timeout)
-
-
-async def get_json(host: str, port: int, path: str,
-                   timeout: float = 10.0) -> tuple:
-    """One ``GET`` with ``Connection: close``; ``(status, body)``."""
-    request = (f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
-               "Connection: close\r\n\r\n").encode()
     return await _roundtrip(host, port, request, timeout)

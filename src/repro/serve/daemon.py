@@ -2,10 +2,10 @@
 
 ``AdvisorDaemon`` turns the :class:`repro.advisor.service.Advisor`
 library into a service: one warm advisor (feature cache + advice
-cache + thread pool) shared across every client, requests coalesced by
-a :class:`repro.serve.batching.MicroBatcher` into
-:meth:`~repro.advisor.service.Advisor.advise_many` calls, admission
-control in front (:mod:`repro.serve.admission`) and SLO metrics behind
+cache) shared across every client, requests coalesced by a
+:class:`repro.serve.batching.MicroBatcher` into micro-batches that one
+executor thread advises in arrival order, admission control in front
+(:mod:`repro.serve.admission`) and SLO metrics behind
 (:data:`repro.obs.REGISTRY`).
 
 The HTTP layer is a deliberately small HTTP/1.1 subset on raw
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from ..machine.arch import get_architecture
 from ..obs.log import get_logger
 from ..obs.metrics import REGISTRY, snapshot_quantile
-from ..obs.trace import TRACER, new_span_id
+from ..obs.trace import TRACER, new_span_id, trace_context
 from .admission import AdmissionController
 from .batching import MicroBatcher
 from .protocol import (ProtocolError, error_body, ok_body,
@@ -181,48 +181,35 @@ class AdvisorDaemon:
             raise RuntimeError("call start() first")
         await self._stopped.wait()
 
-    async def wait_stopped(self) -> None:
-        await self.serve_forever()
-
     # ------------------------------------------------------------------
     # the batched serving path
     # ------------------------------------------------------------------
     async def _flush(self, requests: list) -> list:
-        """MicroBatcher callback: one batch → advise_many, off-loop.
+        """MicroBatcher callback: advise one batch, off-loop.
 
-        Requests in one micro-batch may target different architectures
-        or kernels; group them so each group rides one
-        ``advise_many`` call, and run the whole (CPU-bound, GIL-
-        releasing) evaluation on the loop's default executor so the
-        event loop keeps accepting requests meanwhile.
+        The whole (CPU-bound) batch runs on the loop's default executor
+        so the event loop keeps accepting requests meanwhile.
         """
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self._advise_batch,
                                           requests)
 
     def _advise_batch(self, requests: list) -> list:
-        results: list = [None] * len(requests)
-        groups: dict = {}
-        for i, req in enumerate(requests):
-            arch_name = req.arch or self.config.default_arch
-            groups.setdefault(
-                (arch_name, req.kernel, req.iterations, req.workload),
-                []).append(i)
-        for (arch_name, kernel, iterations, workload), idxs in \
-                groups.items():
-            arch = get_architecture(arch_name)
-            entries = [self.entries[requests[i].matrix] for i in idxs]
-            # thread each request's trace context into the advisor pool
-            # so its advisor.request span parents to the serve.request
-            # span — one causal chain per request across the batch
-            ctxs = [(requests[i].trace_id, requests[i].span_id)
-                    if requests[i].span_id else None for i in idxs]
-            ranked = self.advisor.advise_many(
-                entries, arch, kernel=kernel, iterations=iterations,
-                workload=workload,
-                trace_ctxs=ctxs if any(ctxs) else None)
-            for i, advice in zip(idxs, ranked):
-                results[i] = advice
+        """One ranked advice list per request, in arrival order."""
+        results = []
+        for req in requests:
+            entry = self.entries[req.matrix]
+            arch = get_architecture(req.arch or self.config.default_arch)
+            # under the request's trace context the advisor.request span
+            # parents to its serve.request span: one causal chain per
+            # request across the batch
+            ctx = (trace_context(req.trace_id, req.span_id)
+                   if req.span_id else contextlib.nullcontext())
+            with ctx:
+                results.append(self.advisor.advise(
+                    entry.matrix, arch, req.kernel,
+                    matrix_name=entry.name, iterations=req.iterations,
+                    workload=req.workload))
         return results
 
     async def _advise(self, body: bytes, peer: str) -> tuple:

@@ -41,6 +41,7 @@ snapshot documented in ``docs/serving.md``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from ..errors import ReproError
@@ -86,14 +87,29 @@ class AdviseRequest:
     workload: str = DEFAULT_WORKLOAD
 
 
+def _reject_constant(literal: str):
+    # json.loads accepts NaN/Infinity/-Infinity, which are not JSON:
+    # echoed back they would make the response body invalid too
+    raise ProtocolError(f"non-finite number {literal} is not valid JSON")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ProtocolError(f"number {text} overflows a double")
+    return value
+
+
 def parse_advise_request(body: bytes, peer: str = "") -> AdviseRequest:
     """Decode and validate a ``POST /advise`` body.
 
     Raises :class:`ProtocolError` with a human-readable reason on any
-    schema violation; the daemon turns that into a 400 response.
+    schema violation, non-finite numbers included; the daemon turns
+    that into a 400 response.
     """
     try:
-        data = json.loads(body)
+        data = json.loads(body, parse_constant=_reject_constant,
+                          parse_float=_finite_float)
     except (ValueError, UnicodeDecodeError) as e:
         raise ProtocolError(f"body is not valid JSON: {e}") from None
     if not isinstance(data, dict):
@@ -125,7 +141,11 @@ def parse_advise_request(body: bytes, peer: str = "") -> AdviseRequest:
             raise ProtocolError(
                 f"'iterations' must be a positive number, "
                 f"got {iterations!r}")
-        iterations = float(iterations)
+        try:
+            iterations = float(iterations)
+        except OverflowError:
+            raise ProtocolError(
+                "'iterations' overflows a double") from None
     top = data.get("top")
     if top is not None:
         if not isinstance(top, int) or isinstance(top, bool) or top < 1:

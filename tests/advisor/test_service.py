@@ -3,6 +3,7 @@ import pytest
 from repro.advisor import Advisor, AdvisorModel
 from repro.advisor.cache import LRUCache
 from repro.errors import AdvisorError
+from repro.serve import AdviseRequest, AdvisorDaemon, ServeConfig
 
 
 def test_untrained_model_rejected():
@@ -47,66 +48,20 @@ def test_iteration_budget_changes_cache_key(model, corpus, arch):
 
 
 def test_advise_many_matches_single_requests(model, corpus, arch):
+    """One batch through the daemon's batch path answers each request
+    as a direct advise() call on a fresh advisor would."""
     entries = corpus[:4]
-    with Advisor(model, workers=4) as advisor:
-        batch = advisor.advise_many(entries, arch, "1d")
-        assert len(batch) == len(entries)
-        for e, ranked in zip(entries, batch):
-            assert ranked == advisor.advise(e.matrix, arch, "1d",
-                                            matrix_name=e.name)
-
-
-def test_advise_many_single_matrix_runs_on_caller_thread(model, corpus,
-                                                         arch):
-    """One matrix is advised inline: same answer as advise(), and no
-    pool is created for it."""
-    e = corpus[0]
-    reference = Advisor(model).advise(e.matrix, arch, "2d",
+    daemon = AdvisorDaemon(Advisor(model), entries,
+                           ServeConfig(default_arch=arch.name))
+    requests = [AdviseRequest(id=i, matrix=e.name, arch=None, kernel="1d",
+                              iterations=None, top=None, client="test")
+                for i, e in enumerate(entries)]
+    batch = daemon._advise_batch(requests)
+    assert len(batch) == len(entries)
+    fresh = Advisor(model)
+    for e, ranked in zip(entries, batch):
+        assert ranked == fresh.advise(e.matrix, arch, "1d",
                                       matrix_name=e.name)
-    with Advisor(model, workers=2) as advisor:
-        assert advisor.advise_many([e], arch, "2d") == [reference]
-        assert advisor._pool is None
-
-
-def test_advise_many_accepts_bare_matrices(advisor, corpus, arch):
-    mats = [e.matrix for e in corpus[:2]]
-    names = [e.name for e in corpus[:2]]
-    batch = advisor.advise_many(mats, arch, "1d", names=names)
-    assert len(batch) == 2
-    assert advisor.advise_many([], arch) == []
-
-
-def test_advise_many_reuses_instance_pool(model, corpus, arch):
-    """The reusable pool is created once, survives repeated batches,
-    and close() tears it down."""
-    advisor = Advisor(model, workers=2)
-    try:
-        assert advisor._pool is None          # lazy until first batch
-        advisor.advise_many(corpus[:2], arch, "1d")
-        pool = advisor._pool
-        assert pool is not None
-        advisor.advise_many(corpus[:2], arch, "2d")
-        assert advisor._pool is pool          # same pool, not per-call
-    finally:
-        advisor.close()
-    assert advisor._pool is None
-    advisor.close()                           # idempotent
-
-
-def test_advise_many_after_close_recreates_pool(model, corpus, arch):
-    advisor = Advisor(model, workers=1)
-    advisor.advise_many(corpus[:1], arch, "1d")
-    advisor.close()
-    batch = advisor.advise_many(corpus[:2], arch, "1d")
-    assert len(batch) == 2
-    advisor.close()
-
-
-def test_advisor_context_manager_closes_pool(model, corpus, arch):
-    with Advisor(model, workers=2) as advisor:
-        advisor.advise_many(corpus[:2], arch, "1d")
-        assert advisor._pool is not None
-    assert advisor._pool is None
 
 
 def test_lru_cache_evicts_and_counts():

@@ -16,6 +16,7 @@ from repro.advisor.train import train_model
 from repro.errors import AdvisorError
 from repro.generators.suite import build_corpus
 from repro.machine.arch import get_architecture
+from repro.serve import AdviseRequest, AdvisorDaemon, ServeConfig
 
 SEED = 20260808
 ARCH = get_architecture("Milan B")
@@ -97,14 +98,21 @@ def test_advise_caches_per_workload(corpus):
 
 
 def test_advise_many_threads_workload_through(corpus):
+    """The daemon's batch path carries each request's workload through
+    to advise(): batched answers equal single calls."""
     model = train_model(corpus=corpus, architectures=[ARCH],
                         kernels=("1d", "2d", "jacobi"), seed=0)
-    with Advisor(model) as advisor:
-        batched = advisor.advise_many(corpus, ARCH, kernel="1d",
-                                      workload="jacobi")
-        singles = [advisor.advise(e.matrix, ARCH, kernel="1d",
-                                  matrix_name=e.name, workload="jacobi")
-                   for e in corpus]
+    daemon = AdvisorDaemon(Advisor(model), corpus,
+                           ServeConfig(default_arch=ARCH.name))
+    requests = [AdviseRequest(id=e.name, matrix=e.name, arch=None,
+                              kernel="1d", iterations=None, top=None,
+                              client="test", workload="jacobi")
+                for e in corpus]
+    batched = daemon._advise_batch(requests)
+    advisor = Advisor(model)
+    singles = [advisor.advise(e.matrix, ARCH, kernel="1d",
+                              matrix_name=e.name, workload="jacobi")
+               for e in corpus]
     assert len(batched) == len(corpus)
     for got, want in zip(batched, singles):
         assert [a_.row() for a_ in got] == [a_.row() for a_ in want]

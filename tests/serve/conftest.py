@@ -41,9 +41,7 @@ def model(corpus, arch):
 
 @pytest.fixture()
 def advisor(model):
-    adv = Advisor(model, workers=2)
-    yield adv
-    adv.close()
+    return Advisor(model)
 
 
 @pytest.fixture(scope="session")

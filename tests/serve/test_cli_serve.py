@@ -22,6 +22,13 @@ def test_serve_and_loadgen_are_registered():
     assert args.requests == 5
 
 
+def test_serve_workers_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_unknown_command_lists_registered_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])

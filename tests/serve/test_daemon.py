@@ -14,11 +14,13 @@ import json
 import signal
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.advisor import Advisor
+from repro.machine import get_architecture
 from repro.serve import ServeClient, ServeConfig, start_in_thread
 from repro.serve.protocol import advice_to_wire
 
@@ -169,19 +171,74 @@ def test_admission_reject_schema_and_isolation(advisor, corpus):
 
 
 class GatedAdvisor(Advisor):
-    """An advisor whose ``advise_many`` holds until ``gate`` opens, so
-    a test can keep a batch in flight without any timer."""
+    """An advisor whose ``advise`` holds until ``gate`` opens, so a
+    test can keep a batch in flight without any timer."""
 
     def __init__(self, model) -> None:
-        super().__init__(model, workers=2)
+        super().__init__(model)
         self.entered = threading.Event()
         self.gate = threading.Event()
 
-    def advise_many(self, *args, **kwargs):
+    def advise(self, *args, **kwargs):
         self.entered.set()
         if not self.gate.wait(10.0):
             raise TimeoutError("gate never opened")
-        return super().advise_many(*args, **kwargs)
+        return super().advise(*args, **kwargs)
+
+
+#: one micro-batch mixing archs (``None`` = the daemon default),
+#: both kernels, two workloads and iteration budgets
+MIXED = [
+    (0, ARCH_NAME, "1d", "spmv", None),
+    (1, "Milan B", "2d", "jacobi", None),
+    (2, None, "1d", "jacobi", 1000.0),
+    (0, ARCH_NAME, "2d", "spmv", 50.0),
+    (3, "Milan B", "1d", "spmv", None),
+    (1, ARCH_NAME, "2d", "jacobi", 1000.0),
+]
+
+
+def test_mixed_batch_matches_direct_advise(model, corpus):
+    """A held batch lets the next one queue up mixed; every answer in
+    it equals a direct advise() call on a fresh advisor."""
+    advisor = GatedAdvisor(model)
+    with open_daemon(advisor, corpus, max_batch=32) as handle:
+
+        def one_request(spec):
+            i, arch, kernel, workload, iterations = spec
+            with ServeClient("127.0.0.1", handle.port,
+                             timeout=10.0) as client:
+                return client.advise(corpus[i].name, arch=arch,
+                                     kernel=kernel, workload=workload,
+                                     iterations=iterations)
+
+        with ThreadPoolExecutor(max_workers=len(MIXED) + 1) as pool:
+            try:
+                held = pool.submit(one_request, MIXED[0])
+                assert advisor.entered.wait(10.0)
+                mixed = [pool.submit(one_request, spec)
+                         for spec in MIXED]
+                for _ in range(1000):
+                    if handle.daemon.batcher.depth == len(MIXED):
+                        break
+                    time.sleep(0.005)
+                assert handle.daemon.batcher.depth == len(MIXED)
+            finally:
+                advisor.gate.set()
+            assert held.result(timeout=10.0)[0] == 200
+            outcomes = [f.result(timeout=10.0) for f in mixed]
+
+    fresh = Advisor(model)
+    for (i, arch, kernel, workload, iterations), (status, body) in \
+            zip(MIXED, outcomes):
+        assert status == 200
+        assert body["batch_size"] == len(MIXED)
+        expected = fresh.advise(
+            corpus[i].matrix,
+            get_architecture(arch or ServeConfig.default_arch),
+            kernel, matrix_name=corpus[i].name, iterations=iterations,
+            workload=workload)
+        assert body["advice"] == advice_to_wire(expected)
 
 
 def test_sigterm_drains_inflight_requests(model, oracle, corpus, arch):
@@ -219,7 +276,7 @@ def test_sigterm_drains_inflight_requests(model, oracle, corpus, arch):
         burst = threading.Thread(target=client_burst)
         burst.start()
         # SIGTERM lands while the first request's batch is held in
-        # advise_many; the handler runs on this main thread's loop
+        # advise; the handler runs on this main thread's loop
         loop = asyncio.get_running_loop()
         assert await loop.run_in_executor(None, advisor.entered.wait,
                                           10.0)
@@ -238,7 +295,6 @@ def test_sigterm_drains_inflight_requests(model, oracle, corpus, arch):
         asyncio.run(scenario())
     finally:
         advisor.gate.set()
-        advisor.close()
     assert not errors, f"drain dropped a client: {errors[:1]}"
     assert len(outcomes) == 6
     for name, status, body in outcomes:
@@ -252,15 +308,20 @@ def test_sigterm_drains_inflight_requests(model, oracle, corpus, arch):
     assert outcomes[0][1] == 200
 
 
-def _raw_post(port: int, content_length: str) -> tuple:
-    """POST /advise with a hand-written Content-Length and no body;
-    reads until the daemon closes the connection (a hang times out)
-    and returns (status, json body)."""
+def _strict_json(literal: str):
+    raise ValueError(f"{literal} is not JSON")
+
+
+def _raw_post(port: int, content_length: str, body: bytes = b"") -> tuple:
+    """POST /advise with a hand-written Content-Length and body; reads
+    until the daemon closes the connection (a hang times out) and
+    returns (status, body parsed as strict JSON)."""
     with socket.create_connection(("127.0.0.1", port),
                                   timeout=5.0) as sock:
         sock.sendall(
             f"POST /advise HTTP/1.1\r\nHost: x\r\n"
-            f"Content-Length: {content_length}\r\n\r\n".encode())
+            f"Content-Length: {content_length}\r\n"
+            f"Connection: close\r\n\r\n".encode() + body)
         data = b""
         while True:
             chunk = sock.recv(65536)
@@ -269,7 +330,7 @@ def _raw_post(port: int, content_length: str) -> tuple:
             data += chunk
     head, _, body = data.partition(b"\r\n\r\n")
     status = int(head.split(b" ", 2)[1])
-    return status, json.loads(body)
+    return status, json.loads(body, parse_constant=_strict_json)
 
 
 @pytest.mark.parametrize("content_length,status,reason", [
@@ -290,6 +351,30 @@ def test_malformed_content_length_is_answered(advisor, corpus,
         # the daemon survives and keeps serving
         with ServeClient("127.0.0.1", handle.port) as client:
             assert client.healthz()["status"] == "ok"
+
+
+@pytest.mark.parametrize("field,literal", [
+    ("iterations", "NaN"),
+    ("iterations", "Infinity"),
+    ("iterations", "-Infinity"),
+    ("id", "NaN"),
+    ("iterations", "1e400"),
+    ("id", "1e400"),
+    pytest.param("iterations", "1" + "0" * 400, id="iterations-1e400-int"),
+])
+def test_non_finite_numbers_are_rejected(advisor, corpus, field,
+                                         literal):
+    """json.loads takes NaN/Infinity and overflows 1e400 to inf: the
+    daemon refuses them with a strict-JSON 400 instead of serving
+    (and echoing) a non-finite value."""
+    body = (f'{{"matrix": "{corpus[0].name}", '
+            f'"{field}": {literal}}}').encode()
+    with open_daemon(advisor, corpus) as handle:
+        status, reply = _raw_post(handle.port, str(len(body)), body)
+    assert status == 400
+    assert reply["status"] == "error" and reply["reason"] == "bad_request"
+    assert "non-finite" in reply["detail"] \
+        or "overflows" in reply["detail"]
 
 
 def test_port_zero_picks_a_free_port(advisor, corpus):
