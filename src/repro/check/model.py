@@ -10,8 +10,10 @@ to their naive definitions:
   one matrix object shares its :class:`ReuseStats` pass and memoised
   schedules across architectures and kernels; every cell must equal
   the ``fastpath=False`` reference model on a fresh matrix object, bit
-  for bit.  This also covers the per-window distinct counting the
-  vectorised pass inlines.
+  for bit.  The same cells are then scored again as one multi-matrix
+  :func:`~repro.machine.model.predict_cells` grid pass, which must
+  keep every cell on its own matrix's statistics.  This also covers
+  the per-window distinct counting the vectorised pass inlines.
 
 The memoised :class:`ReuseStats` container is additionally checked
 against a from-scratch rebuild on an equal-but-distinct matrix object,
@@ -89,10 +91,19 @@ def check_reuse_primitives(matrices, words_per_line: int = 8) -> CheckReport:
     return report
 
 
+def _same_prediction(got, want) -> bool:
+    return (got.seconds == want.seconds
+            and got.x_line_loads == want.x_line_loads
+            and bool(np.array_equal(got.thread_seconds,
+                                    want.thread_seconds)))
+
+
 def check_model_fastpath(matrices, architectures=CHECK_ARCHS) -> CheckReport:
-    """Memoised per-cell fast path vs the naive reference model."""
+    """Memoised fast path vs the naive reference model, per cell and
+    as one multi-matrix grid pass."""
     archs = [get_architecture(n) for n in architectures]
     report = CheckReport(suites=[SUITE])
+    grid = []  # (subject, matrix, model, schedule, reference)
     with span("check.model.fastpath"):
         for name, a in matrices:
             if a.nnz == 0:
@@ -103,21 +114,30 @@ def check_model_fastpath(matrices, architectures=CHECK_ARCHS) -> CheckReport:
                 for kernel in ("1d", "2d"):
                     subject = (f"matrix={name} arch={arch.name} "
                                f"kernel={kernel}")
-                    got = model.predict(
-                        a, get_schedule(a, kernel, arch.threads))
+                    fast_schedule = get_schedule(a, kernel, arch.threads)
+                    got = model.predict(a, fast_schedule)
                     schedule = (schedule_1d(a, arch.threads)
                                 if kernel == "1d"
                                 else schedule_2d(a, arch.threads))
                     want = reference.predict(_fresh_copy(a), schedule)
                     report.check(
-                        got.seconds == want.seconds
-                        and got.x_line_loads == want.x_line_loads
-                        and bool(np.array_equal(got.thread_seconds,
-                                                want.thread_seconds)),
+                        _same_prediction(got, want),
                         SUITE, "fastpath-matches-naive-model", subject,
                         f"fastpath seconds={got.seconds!r} "
                         f"x_line_loads={got.x_line_loads} vs naive "
                         f"{want.seconds!r}/{want.x_line_loads}")
+                    grid.append((subject, a, model, fast_schedule, want))
+        # every cell of every matrix in one pass: each cell must still
+        # be scored on its own matrix's statistics
+        preds = model_mod.predict_cells(
+            [(a, model, schedule) for _, a, model, schedule, _ in grid])
+        for (subject, _, _, _, want), got in zip(grid, preds):
+            report.check(
+                _same_prediction(got, want),
+                SUITE, "fastpath-matches-naive-model", f"grid {subject}",
+                f"grid pass seconds={got.seconds!r} "
+                f"x_line_loads={got.x_line_loads} vs naive "
+                f"{want.seconds!r}/{want.x_line_loads}")
     return report
 
 

@@ -246,6 +246,16 @@ def _fault_model_fastpath_drift():
     return _patched(ReuseStats, "prev", drifted)
 
 
+def _fault_grid_pass_cell_offset():
+    from ..machine import model as model_mod
+
+    # every cell's segment is taken to start where the first cell's
+    # does, so each cell counts its threads over the first cell's
+    # entries; a one-cell pass is unaffected
+    return _patched(model_mod, "_stream_offsets",
+                    lambda sizes: np.zeros(sizes.size, dtype=np.int64))
+
+
 def _fault_prev_occurrence_off_by_one():
     from ..machine import reuse as reuse_mod
 
@@ -597,6 +607,11 @@ FAULTS = (
           "line load",
           "fastpath-matches-naive-model", _model_target,
           _fault_model_fastpath_drift),
+    Fault("grid-pass-cell-offset",
+          "the grid pass reads every cell's previous occurrences at the "
+          "first cell's offset in the concatenated stream",
+          "fastpath-matches-naive-model", _model_target,
+          _fault_grid_pass_cell_offset, expect_detail="grid "),
     Fault("dropped-journal-line",
           "SweepJournal silently drops the second record line",
           "journal-matches-metrics", _artifacts_target,

@@ -21,12 +21,12 @@ kernel) grid; :class:`SweepEngine` executes that grid
   structured :class:`FailedCell` and the sweep keeps going.
 
 Observability is threaded through the run via :mod:`repro.obs`:
-every stage of every cell runs under a **span** (``reorder`` /
-``reuse_stats`` / ``model_eval``, nested inside one ``sweep.task``
-span per matrix), workers ship their buffered trace events and a
-**metrics-registry delta** back with each task outcome, and the
-engine merges both — spans into the global tracer (one Perfetto lane
-per worker pid), deltas into a run-local
+every stage runs under a **span** (``reorder`` and ``reuse_stats`` per
+ordering, ``model_eval`` per grid pass, nested inside one
+``sweep.task`` span per matrix), workers ship their buffered trace
+events and a **metrics-registry delta** back with each task outcome,
+and the engine merges both — spans into the global tracer (one
+Perfetto lane per worker pid), deltas into a run-local
 :class:`~repro.obs.metrics.MetricsRegistry`.  Because each worker
 reports only the work it did, and only when a task *finishes*, a
 worker that dies mid-chunk loses its own partial counts but can never
@@ -45,11 +45,12 @@ and resubmits the unfinished tasks — shrunk by every cell consumed so
 far — within a bounded crash budget; cells that keep killing workers
 become structured :class:`FailedCell` rows with ``stage="worker"``.
 
-Within one matrix the task loop is *ordering-outer*: each (ordering,
-nparts) permutation is computed once, and the reordered matrix —
-together with its memoised :class:`~repro.machine.reuse.ReuseStats`
-and thread schedules — is shared across every architecture and kernel
-cell evaluated on it (see docs/perfmodel.md).
+Within one matrix the task reorders first and scores afterwards: each
+(ordering, nparts) permutation is computed once, with its memoised
+:class:`~repro.machine.reuse.ReuseStats`, and one
+:func:`~repro.machine.model.predict_cells` pass then scores every
+pending ordering × architecture × kernel cell of the matrix (see
+docs/perfmodel.md).
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..errors import HarnessError
-from ..machine.bench import MeasurementRecord, simulate_measurement
-from ..machine.model import PerfModel
+from ..machine.bench import (MeasurementRecord, measurement_record,
+                             simulate_measurement)
+from ..machine.model import PerfModel, predict_cells
 from ..machine.reuse import ReuseStats
 from ..obs import cachestats
 from ..obs import manifest as _manifest
@@ -77,8 +79,12 @@ from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
                          set_trace_context, span)
 from ..reorder.registry import check_ordering_names
 from ..spmv.registry import resolve_workload
+from ..spmv.schedule import get_schedule
 
 JOURNAL_VERSION = 1
+#: summed entries of the cells one grid pass may hold; the pending
+#: batch of a matrix task is scored early rather than grow past it
+GRID_PASS_ENTRIES = 1 << 22
 
 class CellTimeout(HarnessError):
     """A sweep cell exceeded its wall-clock budget."""
@@ -393,12 +399,16 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                      cache=None) -> _TaskOutcome:
     """Compute every pending cell of one matrix.
 
-    The loop is ordering-outer: each (ordering, nparts) permutation is
-    computed once (with a disk-backed cache it also persists across
-    runs) and the reordered matrix is then evaluated for *every*
-    architecture and kernel in one pass, so its memoised reuse
-    statistics and thread schedules are shared across all of those
-    cells.  Only GP splits into per-``gp_parts`` architecture groups
+    The task reorders first and scores afterwards.  Each (ordering,
+    nparts) permutation is computed once (with a disk-backed cache it
+    also persists across runs) and its shared reuse statistics are
+    built right away; its pending (architecture, kernel) cells then
+    wait in a batch, and one :func:`~repro.machine.model.predict_cells`
+    pass scores the whole batch — every ordering, architecture and
+    kernel of the matrix.  The batch is flushed early when its cells'
+    summed entries would pass :data:`GRID_PASS_ENTRIES`, which bounds
+    the pass's concatenated streams and releases the flushed permuted
+    matrices.  Only GP splits into per-``gp_parts`` architecture groups
     (its permutation depends on the part count); every other ordering
     forms a single group.  Tasks are disjoint by matrix, so concurrent
     workers never write the same cache entry.
@@ -419,10 +429,97 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
     a = _resolve_task_matrix(task, timings)
     retried = 0
     models = [(arch, factory(arch)) for arch in config.architectures]
+    #: cells waiting for the grid pass: (matrix, ordering, arch, model,
+    #: kernel), with their summed entries
+    batch: list = []
+    batch_entries = 0
 
-    def eval_cells(matrix, ordering_name, group) -> None:
-        """Evaluate every pending (arch, kernel) cell of one reordered
-        matrix, with one shared reuse-statistics pass."""
+    def model_failure(ordering_name, kernel, arch, exc, t0) -> FailedCell:
+        return FailedCell(
+            matrix=entry.name, ordering=ordering_name, kernel=kernel,
+            architecture=arch.name, stage="model-eval",
+            error=type(exc).__name__, message=str(exc), attempts=1,
+            seconds=time.perf_counter() - t0)
+
+    def eval_cell(matrix, ordering_name, arch, model, kernel):
+        """Score one cell on its own: a record or a FailedCell."""
+        t0 = time.perf_counter()
+        try:
+            with _deadline(config.timeout), \
+                    span("model_eval", matrix=entry.name,
+                         ordering=ordering_name, kernel=kernel,
+                         arch=arch.name):
+                return simulate_measurement(
+                    matrix, arch, kernel, entry.name, ordering_name,
+                    model=model)
+        except Exception as exc:  # noqa: BLE001 - fault isolation
+            return model_failure(ordering_name, kernel, arch, exc, t0)
+
+    def score(cells: list, out: dict) -> None:
+        """The grid pass over the batch's fast-path cells: each cell's
+        schedule and record stay its own (a bad cell fails alone), the
+        predictions are one pass.  A ``fastpath=False`` model's cells
+        are left to the per-cell path."""
+        ready = []
+        for i, (matrix, ordering_name, arch, model, kernel) in \
+                enumerate(cells):
+            if not model.fastpath:
+                continue
+            t0 = time.perf_counter()
+            try:
+                _, kind = resolve_workload(kernel)
+                ready.append((i, get_schedule(matrix, kind, arch.threads)))
+            except CellTimeout:
+                raise  # the pass's budget, not this cell's
+            except Exception as exc:  # noqa: BLE001 - fault isolation
+                out[i] = model_failure(ordering_name, kernel, arch, exc, t0)
+        preds = predict_cells([(cells[i][0], cells[i][3], schedule)
+                               for i, schedule in ready])
+        for (i, schedule), pred in zip(ready, preds):
+            matrix, ordering_name, arch, model, kernel = cells[i]
+            t0 = time.perf_counter()
+            try:
+                out[i] = measurement_record(matrix, arch, kernel, schedule,
+                                            pred, entry.name, ordering_name)
+            except CellTimeout:
+                raise
+            except Exception as exc:  # noqa: BLE001 - fault isolation
+                out[i] = model_failure(ordering_name, kernel, arch, exc, t0)
+
+    def flush() -> None:
+        """Score the batch in one pass; if the pass raises or runs past
+        ``timeout × cells``, score its unscored cells one by one."""
+        nonlocal batch_entries
+        if not batch:
+            return
+        cells = batch[:]
+        batch.clear()
+        batch_entries = 0
+        t0 = time.perf_counter()
+        out: dict = {}
+        fast = sum(model.fastpath for _, _, _, model, _ in cells)
+        if fast:
+            budget = config.timeout * fast if config.timeout else None
+            try:
+                with _deadline(budget), span("model_eval",
+                                             matrix=entry.name,
+                                             cells=fast):
+                    score(cells, out)
+            except Exception:  # noqa: BLE001 - the per-cell path decides
+                pass
+        for i, cell in enumerate(cells):
+            result = out[i] if i in out else eval_cell(*cell)
+            if isinstance(result, FailedCell):
+                failures.append(result)
+            else:
+                records.append(((entry.name, cell[1], cell[4],
+                                 cell[2].name), result))
+        timings["model_eval"] += time.perf_counter() - t0
+
+    def enqueue(matrix, ordering_name, group) -> None:
+        """Queue every pending (arch, kernel) cell of one reordered
+        matrix, after building its shared reuse statistics."""
+        nonlocal batch_entries
         wanted = [(arch, model, kernel) for arch, model in group
                   for kernel in config.kernels
                   if (entry.name, ordering_name, kernel,
@@ -430,7 +527,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
         if not wanted:
             return
         # materialise the shared statistics up front so their cost
-        # lands in the reuse_stats stage, not a random first cell
+        # lands in the reuse_stats stage, not in the model pass
         hot_lines = sorted({arch.line_size // 8
                             for arch, model, _ in wanted
                             if model.locality_term})
@@ -441,31 +538,14 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                 hot_lines if matrix.nnz else ())
         timings["reuse_stats"] += time.perf_counter() - t0
         for arch, model, kernel in wanted:
-            cell = (entry.name, ordering_name, kernel, arch.name)
-            t0 = time.perf_counter()
-            try:
-                with _deadline(config.timeout), \
-                        span("model_eval", matrix=entry.name,
-                             ordering=ordering_name, kernel=kernel,
-                             arch=arch.name):
-                    rec = simulate_measurement(
-                        matrix, arch, kernel, entry.name, ordering_name,
-                        model=model)
-            except Exception as exc:  # noqa: BLE001 - fault isolation
-                failures.append(FailedCell(
-                    matrix=entry.name, ordering=ordering_name,
-                    kernel=kernel, architecture=arch.name,
-                    stage="model-eval", error=type(exc).__name__,
-                    message=str(exc), attempts=1,
-                    seconds=time.perf_counter() - t0))
-            else:
-                records.append((cell, rec))
-            finally:
-                timings["model_eval"] += time.perf_counter() - t0
+            if batch and batch_entries + matrix.nnz > GRID_PASS_ENTRIES:
+                flush()
+            batch.append((matrix, ordering_name, arch, model, kernel))
+            batch_entries += matrix.nnz
 
     with span("sweep.task", matrix=entry.name,
               cells=len(task.pending)):
-        eval_cells(a, "original", models)
+        enqueue(a, "original", models)
         for name in config.orderings:
             groups: dict = {}
             for arch, model in models:
@@ -508,7 +588,8 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                             message=str(error), attempts=attempts,
                             seconds=time.perf_counter() - t0))
                     continue
-                eval_cells(permuted, name, group)
+                enqueue(permuted, name, group)
+        flush()
 
     # report *deltas* so caches/counters shared across serial tasks are
     # not double counted when the engine aggregates per-task stats —
@@ -561,7 +642,8 @@ class SweepEngine:
         Load the journal first and skip its completed cells.  The
         journal's signature must match this sweep's configuration.
     timeout:
-        Per-cell wall-clock budget in seconds (``None`` = unlimited).
+        Per-cell wall-clock budget in seconds (``None`` = unlimited);
+        a grid pass over ``n`` cells gets ``n × timeout``.
     retries:
         Extra attempts for a failing/timed-out ordering computation
         (also bounds pool rebuilds after worker deaths).

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from ..matrix.csr import CSRMatrix
 from ..spmv.registry import resolve_workload
-from ..spmv.schedule import build_schedule, get_schedule
+from ..spmv.schedule import Schedule, build_schedule, get_schedule
 from .arch import Architecture
-from .model import PerfModel
+from .model import PerfModel, SpmvPrediction
 
 #: modelled relative gap between best-of-100 and mean-of-97 performance
 MEAN_PERF_FACTOR = 0.97
@@ -69,13 +69,27 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
     statistics pass; a ``fastpath=False`` reference model rebuilds the
     schedule per call (the fast-path benchmark times both).
     """
-    workload, kind = resolve_workload(kernel)
+    _, kind = resolve_workload(kernel)
     model = model if model is not None else PerfModel(arch)
     if model.fastpath:
         schedule = get_schedule(a, kind, arch.threads)
     else:
         schedule = build_schedule(a, kind, arch.threads)
-    pred = model.predict(a, schedule)
+    return measurement_record(a, arch, kernel, schedule,
+                              model.predict(a, schedule), matrix_name,
+                              ordering_name)
+
+
+def measurement_record(a: CSRMatrix, arch: Architecture, kernel: str,
+                       schedule: Schedule, pred: SpmvPrediction,
+                       matrix_name: str = "",
+                       ordering_name: str = "") -> MeasurementRecord:
+    """Package the record of one cell from its SpMV prediction ``pred``
+    under ``schedule`` — the one place records are built, for
+    :func:`simulate_measurement` and the sweep engine's grid pass
+    alike.  A workload spec other than plain SpMV is scored on top of
+    ``pred`` (:func:`~repro.machine.workloads.predict_workload`)."""
+    workload, _ = resolve_workload(kernel)
     if workload == "spmv":
         seconds, gflops = pred.seconds, pred.gflops
     else:

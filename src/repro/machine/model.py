@@ -40,15 +40,18 @@ cache-resident/cache-exceeding boundary at the same relative position
 (DESIGN.md §2).  The model is deterministic: the goal is the *shape* of
 the paper's results (who wins, where, and why), not absolute Gflop/s.
 
-:meth:`PerfModel.predict` has two paths to the per-thread times: the
-vectorised all-threads pass (``fastpath=True``, fed by the memoised
-:class:`~repro.machine.reuse.ReuseStats`) and the per-thread scalar
-reference (``fastpath=False``, per-window ``np.unique``), which the
-golden-equivalence suite and ``repro check --suites model`` hold the
-fast pass to bit for bit.  Both finish through one per-thread hook,
-:meth:`PerfModel._finish_times`, which subclasses override to add a
-term to every thread's time (:class:`~repro.machine.numa.NumaModel`'s
-remote-x surcharge).
+There are two paths to the per-thread times.  :func:`predict_cells`
+is the fast one: it scores any list of (matrix, model, schedule) cells
+— a matrix's whole ordering × architecture × kernel grid in the sweep
+engine, one cell in :meth:`PerfModel.predict` with ``fastpath=True`` —
+in one vectorised pass fed by the memoised
+:class:`~repro.machine.reuse.ReuseStats`.  The per-thread scalar
+reference (``fastpath=False``, per-window ``np.unique``) is the oracle
+the golden-equivalence suite and ``repro check --suites model`` hold
+the pass to bit for bit.  Both finish each cell through one per-thread
+hook, :meth:`PerfModel._finish_times`, which subclasses override to add
+a term to every thread's time
+(:class:`~repro.machine.numa.NumaModel`'s remote-x surcharge).
 """
 
 from __future__ import annotations
@@ -134,12 +137,13 @@ class PerfModel:
         disabling the imbalance term replaces max-over-threads with the
         mean.
     fastpath:
-        ``True`` runs the vectorised all-threads pass on the memoised
-        per-matrix :class:`~repro.machine.reuse.ReuseStats` (and
-        schedules from the per-matrix schedule cache).  ``False`` runs
-        the per-thread scalar reference, which the golden-equivalence
-        tests and the fast-path benchmark compare against; the
-        predictions are bit-identical either way.
+        ``True`` runs :meth:`predict` as a one-cell
+        :func:`predict_cells` pass on the memoised per-matrix
+        :class:`~repro.machine.reuse.ReuseStats` (and schedules from
+        the per-matrix schedule cache).  ``False`` runs the per-thread
+        scalar reference, which the golden-equivalence tests and the
+        fast-path benchmark compare against; the predictions are
+        bit-identical either way.
     """
 
     def __init__(self, arch: Architecture, locality_term: bool = True,
@@ -233,83 +237,6 @@ class PerfModel:
         time_cpu = cycles / (self.arch.freq_ghz * 1e9)
         return max(time_mem + time_lat, time_cpu), x_loads, bytes_t
 
-    # ------------------------------------------------------------------
-    # vectorised all-threads fast path
-    # ------------------------------------------------------------------
-    def _x_loads_batch(self, schedule: Schedule, reuse: ReuseStats,
-                       prev: np.ndarray, nnz_t: np.ndarray) -> np.ndarray:
-        """Per-thread x line loads for every thread at once.
-
-        Same windowed working-set model as :meth:`_x_line_loads`, with
-        the per-thread slices handled by one pass over the entry stream
-        (thread ids via ``repeat``, per-thread counts via ``bincount``).
-        Position ``i`` is the first access to its line inside a slice
-        (or window) starting at ``s`` exactly when ``prev[i] < s``, so
-        the counts equal the per-window ``np.unique`` sizes.
-        """
-        n = prev.size
-        tcount = schedule.nthreads
-        tid = np.repeat(np.arange(tcount, dtype=np.int64), nnz_t)
-        lo = np.repeat(schedule.entry_start[:-1], nnz_t)
-        distinct = np.bincount(tid[prev < lo], minlength=tcount)
-        cap = self._l2_lines()
-        x_loads = distinct.copy()
-        capm = distinct > cap
-        if not capm.any():
-            return x_loads
-        # capacity regime per thread: window from that thread's density
-        density = distinct[capm] / nnz_t[capm]
-        window = np.ones(tcount, dtype=np.int64)
-        window[capm] = np.maximum(
-            (cap / np.maximum(density, 0.05)).astype(np.int64), cap)
-        win = np.repeat(window, nnz_t)
-        rel = reuse.positions(n) - lo
-        wstart = lo + (rel // win) * win
-        loads = np.bincount(tid[prev < wstart], minlength=tcount)
-        x_loads[capm] = (distinct[capm] + LOCALITY_WEIGHT
-                         * (loads[capm] - distinct[capm])).astype(np.int64)
-        return x_loads
-
-    def _predict_batch(self, a: CSRMatrix, schedule: Schedule,
-                       reuse: ReuseStats, prev: np.ndarray | None,
-                       resid: float) -> tuple:
-        """All per-thread costs in one vectorised pass.
-
-        Elementwise float64 operations in the same order as
-        :meth:`_thread_time`, so ``(times, x_loads, bytes)`` are
-        bit-identical to the per-thread reference (asserted by the
-        golden-equivalence suite).
-        """
-        tcount = schedule.nthreads
-        nnz_t = np.diff(schedule.entry_start)
-        rows_span = schedule.row_start[1:] - schedule.row_start[:-1]
-        rows_t = np.maximum(rows_span, (nnz_t > 0).astype(np.int64))
-        if not self.locality_term:
-            x_loads = nnz_t.copy()
-        elif prev is None or a.nnz == 0:
-            x_loads = np.zeros(tcount, dtype=np.int64)
-        else:
-            x_loads = self._x_loads_batch(schedule, reuse, prev, nnz_t)
-        changes = np.zeros(tcount, dtype=np.int64)
-        multi = rows_span >= 2
-        if multi.any():
-            p = reuse.row_change_prefix()
-            changes[multi] = (p[schedule.row_start[1:][multi] - 1]
-                              - p[schedule.row_start[:-1][multi]])
-        bytes_t = (BYTES_PER_NNZ * nnz_t + BYTES_PER_ROW * rows_t
-                   + X_BYTES_PER_LOAD * x_loads)
-        dram_bw = (self.arch.per_thread_bandwidth(tcount)
-                   * BANDWIDTH_EFFICIENCY)
-        l3_bw = dram_bw * L3_BANDWIDTH_MULT
-        time_mem = np.maximum(bytes_t * (1.0 - resid) / dram_bw,
-                              bytes_t / l3_bw)
-        time_lat = (x_loads * (1.0 - resid) * MEMORY_LATENCY_S
-                    / MEMORY_PARALLELISM)
-        cycles = (self._cpi * nnz_t + self._row_cycles * rows_t
-                  + self._mispredict * changes)
-        time_cpu = cycles / (self.arch.freq_ghz * 1e9)
-        return np.maximum(time_mem + time_lat, time_cpu), x_loads, bytes_t
-
     def _finish_times(self, a: CSRMatrix, schedule: Schedule,
                       times: np.ndarray, x_loads: np.ndarray,
                       resid: float) -> np.ndarray:
@@ -318,30 +245,11 @@ class PerfModel:
         modelled line fetches).  The base model adds nothing."""
         return times
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def predict(self, a: CSRMatrix, schedule: Schedule) -> SpmvPrediction:
-        """Predict one warm-cache SpMV iteration under ``schedule``.
-
-        The fast path reads the statistics memoised on ``a``
-        (:meth:`ReuseStats.for_matrix`), so repeated predictions on the
-        same matrix object — across architectures, kernels and thread
-        counts — share one previous-occurrence pass.
-        """
-        REGISTRY.counter("model.predicts").inc()
-        resid = self.llc_residency(a)
-        if self.fastpath:
-            reuse = ReuseStats.for_matrix(a)
-            prev = None
-            if self.locality_term and a.nnz:
-                prev = reuse.prev(self.arch.line_size // 8)
-            times, x_loads, bytes_t = self._predict_batch(
-                a, schedule, reuse, prev, resid)
-        else:
-            per_thread = [self._thread_time(a, schedule, t, resid)
-                          for t in range(schedule.nthreads)]
-            times, x_loads, bytes_t = map(np.array, zip(*per_thread))
+    def _prediction(self, a: CSRMatrix, schedule: Schedule,
+                    times: np.ndarray, x_loads: np.ndarray,
+                    bytes_t: np.ndarray, resid: float) -> SpmvPrediction:
+        """Package one cell's per-thread costs: the shared tail of both
+        paths (hook, max or mean, byte total)."""
         times = self._finish_times(a, schedule, times, x_loads, resid)
         if self.imbalance_term:
             seconds = float(times.max())
@@ -355,3 +263,186 @@ class PerfModel:
                               x_line_loads=int(x_loads.sum()),
                               gflops=gflops, bytes_total=total_bytes,
                               llc_residency=resid)
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+    def predict(self, a: CSRMatrix, schedule: Schedule) -> SpmvPrediction:
+        """Predict one warm-cache SpMV iteration under ``schedule``.
+
+        The fast path is a one-cell :func:`predict_cells` pass; it reads
+        the statistics memoised on ``a`` (:meth:`ReuseStats.for_matrix`),
+        so repeated predictions on the same matrix object — across
+        architectures, kernels and thread counts — share one
+        previous-occurrence pass.
+        """
+        if self.fastpath:
+            return predict_cells([(a, self, schedule)])[0]
+        REGISTRY.counter("model.predicts").inc()
+        resid = self.llc_residency(a)
+        per_thread = [self._thread_time(a, schedule, t, resid)
+                      for t in range(schedule.nthreads)]
+        times, x_loads, bytes_t = map(np.array, zip(*per_thread))
+        return self._prediction(a, schedule, times, x_loads, bytes_t, resid)
+
+
+# ----------------------------------------------------------------------
+# the vectorised pass
+# ----------------------------------------------------------------------
+def _exclusive_cumsum(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0+c1, ...]`` without the grand total."""
+    out = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _stream_offsets(sizes: np.ndarray) -> np.ndarray:
+    """Start of each streamed cell's segment in the concatenated entry
+    stream (the segments follow each other in cell order)."""
+    return _exclusive_cumsum(sizes)
+
+
+def _first_counts(prev: np.ndarray, starts: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """Per-slice count of positions ``i`` with ``prev[i] < starts[i]``.
+
+    One prefix sum over the whole stream; slice ``[lo, hi)`` then reads
+    its count as ``C[hi] - C[lo]``.
+    """
+    counts = np.zeros(prev.size + 1, dtype=np.int64)
+    np.cumsum(prev < starts, out=counts[1:])
+    return counts[hi] - counts[lo]
+
+
+def _stream_x_loads(prev: np.ndarray, lo: np.ndarray, nnz_t: np.ndarray,
+                    cap: np.ndarray, glo: np.ndarray) -> np.ndarray:
+    """Windowed x-line loads of every streamed thread at once.
+
+    ``prev`` is the concatenated previous-occurrence stream (each cell's
+    own array, in its own coordinates); per thread, ``lo`` is its slice
+    start in its cell, ``nnz_t`` its length, ``cap`` its cell's L2 line
+    capacity and ``glo`` its slice start in the concatenated stream.
+    Position ``i`` is the first access to its line inside a slice (or
+    window) starting at ``s`` exactly when ``prev[i] < s``, so the
+    counts equal the scalar reference's per-window ``np.unique`` sizes.
+    """
+    ghi = glo + nnz_t
+    distinct = _first_counts(prev, np.repeat(lo, nnz_t), glo, ghi)
+    capm = distinct > cap
+    if not capm.any():
+        return distinct
+    # capacity regime per thread: window from that thread's density; a
+    # thread that fits is one window, so its count is simply unused
+    density = distinct[capm] / nnz_t[capm]
+    window = np.maximum(nnz_t, 1)
+    window[capm] = np.maximum(
+        (cap[capm] / np.maximum(density, 0.05)).astype(np.int64),
+        cap[capm])
+    nwin = -(-nnz_t // window)
+    j = np.arange(int(nwin.sum()), dtype=np.int64) - np.repeat(
+        _exclusive_cumsum(nwin), nwin)
+    wsize = np.repeat(window, nwin)
+    wstart = np.repeat(lo, nwin) + j * wsize
+    wlen = np.minimum(wsize, np.repeat(lo + nnz_t, nwin) - wstart)
+    loads = _first_counts(prev, np.repeat(wstart, wlen), glo, ghi)
+    x_loads = distinct
+    x_loads[capm] = (distinct[capm] + LOCALITY_WEIGHT
+                     * (loads[capm] - distinct[capm])).astype(np.int64)
+    return x_loads
+
+
+def predict_cells(cells) -> list:
+    """One :class:`SpmvPrediction` per ``(matrix, model, schedule)`` cell,
+    every cell's threads evaluated in one vectorised pass.
+
+    This is the model's fast implementation
+    (:meth:`PerfModel.predict` with ``fastpath=True`` is a one-cell
+    pass; the model's ``fastpath`` flag is not consulted here).  Cells
+    may mix matrices, architectures, kernels, thread counts, line sizes,
+    ablation switches and :class:`PerfModel` subclasses.  The pass
+    concatenates every cell's thread segments and, for cells with the
+    locality term on, their previous-occurrence streams (each cell reads
+    its own :meth:`ReuseStats.prev` once), counts x-line loads with
+    prefix sums, and evaluates the per-thread formula with each cell's
+    scalars repeated per thread — the same float64 operations in the
+    same order as the per-thread scalar reference, so every prediction
+    is bit-identical to ``fastpath=False``.  The hook, max or mean and
+    byte total stay per cell.
+    """
+    if not cells:
+        return []
+    REGISTRY.counter("model.predicts").inc(len(cells))
+    tcounts, resid, scalars, prefixes = [], [], [], []
+    lo, hi, rlo, rhi = [], [], [], []
+    streamed, prevs, cap = [], [], []
+    for a, model, schedule in cells:
+        arch, tcount = model.arch, schedule.nthreads
+        tcounts.append(tcount)
+        resid.append(model.llc_residency(a))
+        scalars.append((1.0 - resid[-1],
+                        arch.per_thread_bandwidth(tcount)
+                        * BANDWIDTH_EFFICIENCY,
+                        model._cpi, model._row_cycles, model._mispredict,
+                        arch.freq_ghz * 1e9))
+        es, rs = schedule.entry_start, schedule.row_start
+        lo.append(es[:-1])
+        hi.append(es[1:])
+        rlo.append(rs[:-1])
+        rhi.append(rs[1:])
+        stats = ReuseStats.for_matrix(a)
+        prefixes.append(stats.row_change_prefix())
+        streams = bool(model.locality_term and a.nnz)
+        streamed.append(streams)
+        if streams:
+            prevs.append(stats.prev(arch.line_size // 8))
+            cap.append(model._l2_lines())
+    tcounts = np.array(tcounts, dtype=np.int64)
+    lo = np.concatenate(lo)
+    nnz_t = np.concatenate(hi) - lo
+    rlo = np.concatenate(rlo)
+    rows_span = np.concatenate(rhi) - rlo
+    rows_t = np.maximum(rows_span, (nnz_t > 0).astype(np.int64))
+
+    # x-line loads: one per entry without the locality term (and none
+    # in an empty matrix), else the windowed working-set model
+    x_loads = nnz_t.copy()
+    if prevs:
+        streamed = np.array(streamed)
+        stcounts = tcounts[streamed]
+        smask = np.repeat(streamed, tcounts)
+        sizes = np.array([p.size for p in prevs], dtype=np.int64)
+        glo = lo[smask] + np.repeat(_stream_offsets(sizes), stcounts)
+        x_loads[smask] = _stream_x_loads(
+            np.concatenate(prevs), lo[smask], nnz_t[smask],
+            np.repeat(np.array(cap, dtype=np.int64), stcounts), glo)
+
+    # row-length changes over each thread's row span, from every
+    # cell's row-change prefix sums, concatenated
+    changes = np.zeros(nnz_t.size, dtype=np.int64)
+    multi = rows_span >= 2
+    if multi.any():
+        sizes = np.array([p.size for p in prefixes], dtype=np.int64)
+        first = (np.repeat(_exclusive_cumsum(sizes), tcounts)[multi]
+                 + rlo[multi])
+        prefix = np.concatenate(prefixes)
+        changes[multi] = (prefix[first + rows_span[multi] - 1]
+                          - prefix[first])
+
+    # each cell's scalars repeated per thread: the float64 operations
+    # of the scalar reference, in its order
+    unresident, dram_bw, cpi, row_cycles, mispredict, hz = np.repeat(
+        np.array(scalars, dtype=np.float64), tcounts, axis=0).T
+    bytes_t = (BYTES_PER_NNZ * nnz_t + BYTES_PER_ROW * rows_t
+               + X_BYTES_PER_LOAD * x_loads)
+    l3_bw = dram_bw * L3_BANDWIDTH_MULT
+    time_mem = np.maximum(bytes_t * unresident / dram_bw, bytes_t / l3_bw)
+    time_lat = (x_loads * unresident * MEMORY_LATENCY_S
+                / MEMORY_PARALLELISM)
+    cycles = cpi * nnz_t + row_cycles * rows_t + mispredict * changes
+    times = np.maximum(time_mem + time_lat, cycles / hz)
+
+    bounds = np.concatenate(([0], np.cumsum(tcounts))).tolist()
+    return [model._prediction(a, schedule, times[b:e], x_loads[b:e],
+                              bytes_t[b:e], r)
+            for (a, model, schedule), b, e, r
+            in zip(cells, bounds[:-1], bounds[1:], resid)]

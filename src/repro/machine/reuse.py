@@ -18,14 +18,16 @@ count from them:
   With it, the number of distinct lines in any window ``[s, e)`` is
   the count of positions there whose previous occurrence falls before
   ``s``; the model's vectorised pass
-  (:meth:`PerfModel._x_loads_batch`) counts every thread's windows
-  this way in O(nnz), **bit-identical** to the per-window
-  ``np.unique`` loop of its scalar reference.
+  (:func:`~repro.machine.model.predict_cells`) counts every thread's
+  windows this way with prefix sums in O(nnz), **bit-identical** to
+  the per-window ``np.unique`` loop of its scalar reference.
 * :class:`ReuseStats` — the per-matrix container memoised on the
-  matrix object (:meth:`ReuseStats.for_matrix`), so every
-  :meth:`PerfModel.predict` on one (matrix, ordering) — whatever the
-  architecture, kernel or thread count — shares its line ids,
-  previous occurrences and row-length-change prefix sums.
+  matrix object (:meth:`ReuseStats.for_matrix`), so every prediction
+  on one (matrix, ordering) — whatever the architecture, kernel or
+  thread count, in one grid pass or many — shares its line ids,
+  previous occurrences and row-length-change prefix sums.  Each cell
+  of a pass reads its previous-occurrence array once, so
+  ``reuse.hits`` still counts served cells.
 
 Build/hit counters live in the process-global
 :data:`repro.obs.REGISTRY` (``reuse.builds`` / ``reuse.hits`` /
@@ -68,13 +70,19 @@ def prev_occurrence(stream: np.ndarray) -> np.ndarray:
     such ``j`` exists.  One stable argsort groups equal values while
     keeping their positions in increasing order, so consecutive entries
     of the sorted permutation with equal values are exactly the
-    (previous, next) occurrence pairs.
+    (previous, next) occurrence pairs.  A stream whose values all fit
+    in 16 bits is sorted as a ``uint16`` copy, which numpy's stable
+    argsort radix-sorts; a stable sort's permutation is unique, so the
+    result is the same.
     """
     stream = np.asarray(stream)
     n = stream.size
     prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return prev
+    if stream.dtype.kind in "iu" and stream.min() >= 0 \
+            and stream.max() <= np.iinfo(np.uint16).max:
+        stream = stream.astype(np.uint16)
     order = np.argsort(stream, kind="stable")
     svals = stream[order]
     same = svals[1:] == svals[:-1]
@@ -110,7 +118,6 @@ class ReuseStats:
         self.matrix = a
         self._lines: dict = {}
         self._prev: dict = {}
-        self._positions: np.ndarray | None = None
         self._row_change_prefix: np.ndarray | None = None
 
     @classmethod
@@ -142,13 +149,6 @@ class ReuseStats:
         else:
             _HITS.inc()
         return cached
-
-    def positions(self, n: int) -> np.ndarray:
-        """A shared ``arange`` scratch array of length at least ``n``."""
-        if self._positions is None or self._positions.size < n:
-            self._positions = np.arange(max(n, self.matrix.nnz),
-                                        dtype=np.int64)
-        return self._positions[:n]
 
     # -- row-structure statistics -------------------------------------
     def row_change_prefix(self) -> np.ndarray:

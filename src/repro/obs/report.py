@@ -352,20 +352,15 @@ def render_report(trace_path: str | None = None,
             lines += ["", "per-stage breakdown",
                       format_table(["stage", "spans", "total s",
                                     "mean ms", "max ms"], rows)]
-        for span_name, attr, title in (
-                ("reorder", "algo", "reordering time by algorithm"),
-                ("model_eval", "ordering", "model evaluation by ordering"),
-                ("model_eval", "arch", "model evaluation by architecture")):
-            groups = attr_breakdown(events, span_name, attr)
-            if groups:
-                rows = [[key, r["count"], f"{r['total_s']:.3f}",
-                         f"{r['mean_ms']:.2f}", f"{r['max_ms']:.2f}"]
-                        for key, r in sorted(
-                            groups.items(),
-                            key=lambda kv: -kv[1]["total_s"])]
-                lines += ["", title,
-                          format_table([attr, "spans", "total s",
-                                        "mean ms", "max ms"], rows)]
+        groups = attr_breakdown(events, "reorder", "algo")
+        if groups:
+            rows = [[key, r["count"], f"{r['total_s']:.3f}",
+                     f"{r['mean_ms']:.2f}", f"{r['max_ms']:.2f}"]
+                    for key, r in sorted(groups.items(),
+                                         key=lambda kv: -kv[1]["total_s"])]
+            lines += ["", "reordering time by algorithm",
+                      format_table(["algo", "spans", "total s",
+                                    "mean ms", "max ms"], rows)]
         slowest = top_spans(events, top)
         if slowest:
             rows = [[i + 1, _span_label(ev), f"{ev['dur'] / 1e3:.2f}",

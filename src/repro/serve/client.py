@@ -16,11 +16,22 @@ import http.client
 import json
 import socket
 
+from .protocol import ProtocolError
+
 __all__ = ["ServeClient", "ServeUnavailable", "post_json"]
 
 
 class ServeUnavailable(ConnectionError):
     """The daemon did not answer (refused, closed early, or timed out)."""
+
+
+def _encode(payload) -> bytes:
+    """A request body as strict JSON: a NaN or infinite number raises
+    :class:`ProtocolError` before anything is sent."""
+    try:
+        return json.dumps(payload, allow_nan=False).encode()
+    except ValueError as e:
+        raise ProtocolError(f"request body is not strict JSON: {e}") from e
 
 
 class ServeClient:
@@ -42,9 +53,9 @@ class ServeClient:
     def request(self, method: str, path: str,
                 payload: dict | None = None) -> tuple:
         """``(status_code, decoded_json_body)``; retries once on a
-        dropped keep-alive connection."""
-        body = json.dumps(payload).encode() if payload is not None \
-            else None
+        dropped keep-alive connection.  A payload that is not strict
+        JSON raises :class:`ProtocolError` and sends nothing."""
+        body = _encode(payload) if payload is not None else None
         headers = {"Content-Type": "application/json"} if body else {}
         for attempt in (0, 1):
             conn = self._connection()
@@ -147,8 +158,10 @@ async def _roundtrip(host: str, port: int, request: bytes,
 
 async def post_json(host: str, port: int, path: str, payload: dict,
                     timeout: float = 10.0) -> tuple:
-    """One ``POST`` with ``Connection: close``; ``(status, body)``."""
-    body = json.dumps(payload).encode()
+    """One ``POST`` with ``Connection: close``; ``(status, body)``.  A
+    payload that is not strict JSON raises :class:`ProtocolError` and
+    sends nothing."""
+    body = _encode(payload)
     request = (
         f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
         f"Content-Type: application/json\r\n"

@@ -15,6 +15,8 @@ import pytest
 
 from repro.errors import HarnessError, ReorderingError, ScheduleError
 from repro.generators import build_corpus
+from repro.generators.suite import CorpusEntry
+from repro.harness import engine as engine_mod
 from repro.harness import (
     FailedCell,
     OrderingCache,
@@ -23,8 +25,11 @@ from repro.harness import (
     experiment_speedups,
 )
 from repro.machine import get_architecture
+from repro.machine.model import PerfModel
+from repro.obs import trace as obs_trace
 from repro.reorder import registry
 from repro.reorder.perm import OrderingResult
+from ..conftest import random_csr
 
 
 @pytest.fixture(scope="module")
@@ -460,3 +465,115 @@ def test_gp_grouping_keeps_per_arch_permutations(tiny_corpus):
                                     cache=OrderingCache()).run().records]
     both = SweepEngine(tiny_corpus[:2], archs, ["GP"]).run()
     assert both.records == alone
+
+
+# ----------------------------------------------------------------------
+# the grid pass: one model pass per matrix, per-cell fallback
+# ----------------------------------------------------------------------
+class _BrokenModel(PerfModel):
+    """A model whose per-thread hook raises, so any pass holding one of
+    its cells raises as a whole."""
+
+    def _finish_times(self, a, schedule, times, x_loads, resid):
+        raise ValueError(f"broken model on {self.arch.name}")
+
+
+class _SlowModel(PerfModel):
+    def _finish_times(self, a, schedule, times, x_loads, resid):
+        time.sleep(0.5)
+        return times
+
+
+def test_failing_pass_falls_back_to_naming_every_bad_cell(tiny_corpus):
+    archs = [get_architecture(n) for n in ("Rome", "Skylake")]
+    broken = archs[1].name
+    engine = SweepEngine(
+        tiny_corpus[:2], archs, ["RCM"],
+        model_factory=lambda arch: (_BrokenModel(arch)
+                                    if arch.name == broken
+                                    else PerfModel(arch)))
+    result = engine.run()
+    want = SweepEngine(tiny_corpus[:2], archs[:1], ["RCM"]).run()
+    # the healthy architecture's cells are scored one by one, the same
+    assert result.records == want.records
+    assert sorted(f.cell for f in result.failed) == sorted(
+        c for c in engine.cells() if c[3] == broken)
+    assert {(f.stage, f.error) for f in result.failed} == \
+        {("model-eval", "ValueError")}
+
+
+def test_pass_past_its_budget_falls_back_per_cell(tiny_corpus, rome):
+    engine = SweepEngine(tiny_corpus[:1], rome, [], kernels=("1d", "2d"),
+                         timeout=0.1, model_factory=_SlowModel)
+    start = time.perf_counter()
+    result = engine.run()
+    assert time.perf_counter() - start < 5.0
+    assert sorted(f.cell for f in result.failed) == sorted(engine.cells())
+    assert {f.error for f in result.failed} == {"CellTimeout"}
+
+
+def test_pass_overrunning_in_record_assembly_falls_back_per_cell(
+        tiny_corpus, rome, monkeypatch):
+    """The pass's budget running out while one cell's record is built
+    is the pass's overrun, not that cell's failure."""
+    want = SweepEngine(tiny_corpus[:1], rome, []).run()
+    assemble = engine_mod.measurement_record
+
+    def slow(*args, **kwargs):
+        time.sleep(0.3)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "measurement_record", slow)
+    result = SweepEngine(tiny_corpus[:1], rome, [], timeout=0.2).run()
+    assert result.failed == []
+    assert result.records == want.records
+
+
+def test_spgemm_on_a_non_square_matrix_fails_only_those_cells(rome):
+    tall = random_csr(40, 200, np.random.default_rng(3), ncols=25)
+    entry = CorpusEntry(name="tall", group="test", kind="tall",
+                        matrix=tall)
+    engine = SweepEngine([entry], rome, [], kernels=("1d", "spgemm", "2d"))
+    result = engine.run()
+    assert [r.kernel for r in result.records] == ["1d", "2d"]
+    assert [(f.kernel, f.stage, f.error) for f in result.failed] == \
+        [("spgemm", "model-eval", "ScheduleError")]
+
+
+def test_flushing_every_cell_gives_identical_records(
+        tiny_corpus, monkeypatch):
+    archs = [get_architecture(n) for n in ("Rome", "Skylake")]
+    kernels = ("1d", "2d", "cg")
+    whole = SweepEngine(tiny_corpus[:2], archs, ["RCM", "GP"],
+                        kernels=kernels).run()
+    monkeypatch.setattr(engine_mod, "GRID_PASS_ENTRIES", 1)
+    obs_trace.enable()
+    try:
+        single = SweepEngine(tiny_corpus[:2], archs, ["RCM", "GP"],
+                             kernels=kernels).run()
+        passes = [ev["args"]["cells"] for ev in obs_trace.TRACER.events()
+                  if ev["name"] == "model_eval"]
+    finally:
+        obs_trace.disable()
+        obs_trace.TRACER.clear()
+    assert single.records == whole.records
+    assert single.failed == whole.failed == []
+    assert passes == [1] * len(whole.records)
+
+
+def test_reference_models_are_scored_per_cell(tiny_corpus, rome):
+    fast = SweepEngine(tiny_corpus[:1], rome, ["RCM"]).run()
+    obs_trace.enable()
+    try:
+        reference = SweepEngine(
+            tiny_corpus[:1], rome, ["RCM"],
+            model_factory=lambda arch: PerfModel(arch,
+                                                 fastpath=False)).run()
+        spans = [ev["args"] for ev in obs_trace.TRACER.events()
+                 if ev["name"] == "model_eval"]
+    finally:
+        obs_trace.disable()
+        obs_trace.TRACER.clear()
+    assert reference.records == fast.records
+    assert len(spans) == len(fast.records)
+    assert all("cells" not in args and "kernel" in args for args in spans)

@@ -14,7 +14,13 @@ object, so later cells are served from the statistics and schedules
 the first ones memoised.  :class:`NumaModel` runs the same grid under
 each of its three placements: its remote-x surcharge is added through
 the per-thread hook both paths share, so it too must be bit-identical.
+Finally one :func:`predict_cells` pass scores a mixed batch of cells —
+several matrices, both line sizes, every kernel kind, the ablation
+switches and every NUMA placement — and each must equal its own
+per-cell reference.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,11 +28,12 @@ import pytest
 from repro.generators.suite import build_corpus
 from repro.machine.arch import TABLE2
 from repro.machine.bench import simulate_measurement
-from repro.machine.model import PerfModel
+from repro.machine.model import PerfModel, predict_cells
 from repro.machine.numa import PLACEMENTS, NumaModel
 from repro.matrix.csr import CSRMatrix
 from repro.reorder.registry import ALL_ORDERINGS, compute_ordering
-from repro.spmv.schedule import get_schedule, schedule_1d, schedule_2d
+from repro.spmv.schedule import (build_schedule, get_schedule, schedule_1d,
+                                 schedule_2d)
 
 ARCHS = list(TABLE2.values())
 #: small/fast corpus slice spanning the generator families
@@ -159,3 +166,39 @@ def test_empty_and_tiny_matrices_agree():
                     b, arch.threads)
                 ref = PerfModel(arch, fastpath=False).predict(b, sched)
                 assert_same_prediction(fast, ref, (a.nnz, arch.name, kernel))
+
+
+def test_one_pass_over_a_mixed_batch_matches_per_cell_reference(variants):
+    """Cells of different matrices, line sizes, kinds and models share
+    one concatenated pass; each must still score as if alone."""
+    empty = CSRMatrix(3, 3, np.array([0, 0, 0, 0]), np.array([], dtype=int),
+                      np.array([]))
+    single = CSRMatrix(1, 1, np.array([0, 1]), np.array([0]),
+                       np.array([1.0]))  # nthreads > nrows everywhere
+    matrices = [b for _, ordering, b in variants
+                if ordering in ("original", "RCM")][:4] + [empty, single]
+    skylake = TABLE2["Skylake"]
+    archs = [TABLE2["Rome"], TABLE2["Milan B"], TABLE2["TX2"],
+             dataclasses.replace(skylake, name="Skylake-128B",
+                                 line_size=2 * skylake.line_size)]
+    variants_of_model = [{}, {"locality_term": False},
+                         {"imbalance_term": False}]
+    cells, references = [], []
+    for a in matrices:
+        for arch in archs:
+            models = [(PerfModel, flags) for flags in variants_of_model] + [
+                (NumaModel, {"placement": p}) for p in PLACEMENTS]
+            for cls, flags in models:
+                for kind in ("1d", "2d", "merge"):
+                    cells.append((a, cls(arch, **flags),
+                                  get_schedule(a, kind, arch.threads)))
+                    b = fresh_copy(a)
+                    references.append(
+                        cls(arch, fastpath=False, **flags).predict(
+                            b, build_schedule(b, kind, arch.threads)))
+    assert len({id(a) for a, _, _ in cells}) == len(matrices)
+    for (a, model, schedule), fast, ref in zip(
+            cells, predict_cells(cells), references):
+        assert_same_prediction(fast, ref, (a.nnz, model.arch.name,
+                                           type(model).__name__,
+                                           schedule.kind))

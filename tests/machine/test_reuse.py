@@ -30,13 +30,20 @@ def brute_prev(stream):
 
 def random_streams(rng):
     """A spread of stream shapes: empty, constant, short, long, narrow
-    and wide alphabets."""
+    and wide alphabets, and values above, at and across the 16-bit edge
+    where ``prev_occurrence`` stops radix-sorting a ``uint16`` copy."""
     yield np.array([], dtype=np.int64)
     yield np.zeros(17, dtype=np.int64)
     yield np.arange(23, dtype=np.int64)
     for n, hi in [(1, 1), (2, 1), (50, 4), (200, 13), (1000, 50),
                   (1000, 700), (3000, 3)]:
         yield rng.integers(0, hi, n)
+    edge = 1 << 16
+    for lo, hi in [(edge, edge + 40), (edge - 1, edge + 1),
+                   (edge - 20, edge), (edge - 30, edge + 30),
+                   (0, 4 * edge)]:
+        for n in (2, 300, 2000):
+            yield rng.integers(lo, hi, n)
 
 
 def test_prev_occurrence_matches_brute_force(rng):

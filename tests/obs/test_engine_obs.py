@@ -67,6 +67,13 @@ def _metrics_fingerprint(engine: SweepEngine) -> tuple:
             engine.metrics.cache["misses"])
 
 
+def _scored_cells(events) -> int:
+    """Cells the ``model_eval`` spans scored: a grid pass carries its
+    cell count, a per-cell fallback span scores one."""
+    return sum(ev["args"].get("cells", 1) for ev in events
+               if ev["name"] == "model_eval")
+
+
 def test_worker_death_mid_chunk_loses_nothing(tmp_path):
     archs = [get_architecture("Rome")]
     baseline = SweepEngine(build_corpus("tiny", seed=0)[:3], archs,
@@ -89,11 +96,11 @@ def test_worker_death_mid_chunk_loses_nothing(tmp_path):
     # (b) counters are exact: no loss, no double count
     assert _metrics_fingerprint(engine) == _metrics_fingerprint(baseline)
     # (c) trace events shipped only by surviving task completions:
-    #     exactly one model_eval span per cell, and the trace is valid
+    #     the model_eval spans score every cell exactly once, and the
+    #     trace is valid
     events = obs_trace.TRACER.events()
     assert validate_trace(events) == []
-    model_evals = [ev for ev in events if ev["name"] == "model_eval"]
-    assert len(model_evals) == engine.metrics.cells["total"]
+    assert _scored_cells(events) == engine.metrics.cells["total"]
     reorders = [ev for ev in events if ev["name"] == "reorder"]
     assert len(reorders) == 2 * 3  # two orderings x three matrices
 
@@ -151,8 +158,7 @@ def test_span_count_is_the_same_inline_and_in_the_pool(tracing):
         engine = SweepEngine(corpus, [get_architecture("Rome")], ["RCM"],
                              jobs=jobs)
         engine.run()
-        counts.append(sum(ev["name"] == "model_eval"
-                          for ev in obs_trace.TRACER.events()))
+        counts.append(_scored_cells(obs_trace.TRACER.events()))
         obs_trace.disable()
         obs_trace.TRACER.clear()
     expected = engine.metrics.cells["total"] if tracing else 0

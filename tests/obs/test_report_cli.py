@@ -55,7 +55,6 @@ def test_report_renders_breakdowns(traced_run, capsys):
     out = capsys.readouterr().out
     assert "per-stage breakdown" in out
     assert "reordering time by algorithm" in out
-    assert "model evaluation by ordering" in out
     assert "slowest spans" in out
     assert "RCM" in out and "Gray" in out
     assert "model_eval" in out

@@ -22,7 +22,8 @@ import pytest
 from repro.advisor import Advisor
 from repro.machine import get_architecture
 from repro.serve import ServeClient, ServeConfig, start_in_thread
-from repro.serve.protocol import advice_to_wire
+from repro.serve.client import post_json
+from repro.serve.protocol import ProtocolError, advice_to_wire
 
 from .conftest import ARCH_NAME
 
@@ -375,6 +376,25 @@ def test_non_finite_numbers_are_rejected(advisor, corpus, field,
     assert reply["status"] == "error" and reply["reason"] == "bad_request"
     assert "non-finite" in reply["detail"] \
         or "overflows" in reply["detail"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_clients_refuse_non_finite_numbers_before_sending(
+        advisor, corpus, value):
+    """Both clients encode strict JSON: a non-finite number is a
+    ProtocolError on the client, and no request reaches the daemon."""
+    name = corpus[0].name
+    with open_daemon(advisor, corpus) as handle:
+        with ServeClient("127.0.0.1", handle.port) as client:
+            with pytest.raises(ProtocolError, match="strict JSON"):
+                client.advise(name, iterations=value)
+            with pytest.raises(ProtocolError, match="strict JSON"):
+                asyncio.run(post_json("127.0.0.1", handle.port,
+                                      "/advise", {"matrix": name,
+                                                  "iterations": value}))
+            slo = client.metricsz()["slo"]
+    assert slo["requests"] == 0
 
 
 def test_port_zero_picks_a_free_port(advisor, corpus):
