@@ -133,9 +133,27 @@ def _fault_swapped_perm_direction():
     from ..matrix.permute import invert_permutation
     from ..reorder import perm as perm_mod
 
-    orig = perm_mod.permute_symmetric
-    return _patched(perm_mod, "permute_symmetric",
-                    lambda a, p: orig(a, invert_permutation(p)))
+    orig = perm_mod.apply_bijection
+
+    def swapped(a, p, symmetric):
+        return orig(a, invert_permutation(p) if symmetric else p,
+                    symmetric)
+
+    return _patched(perm_mod, "apply_bijection", swapped)
+
+
+def _fault_permute_skips_column_sort():
+    from ..matrix import permute as permute_mod
+    from ..matrix.csr import CSRMatrix
+
+    def unsorted(a, p, col_inv):
+        # relabel the columns but keep them in gathered order: the
+        # unchecked result is no longer canonical CSR
+        rowptr, src = permute_mod._gather_rows(a, p)
+        return CSRMatrix._trusted(a.nrows, a.ncols, rowptr,
+                                  col_inv[a.colidx[src]], a.values[src])
+
+    return _patched(permute_mod, "_permute_two_sided", unsorted)
 
 
 def _fault_dropped_journal_line():
@@ -594,10 +612,15 @@ FAULTS = (
           "spmv-matches-dense-oracle", _kernels_target,
           _fault_kernel_2d_drops_boundary_partial),
     Fault("swapped-permutation-direction",
-          "permute_symmetric applies the inverse (old-to-new) "
+          "a symmetric ordering applies the inverse (old-to-new) "
           "permutation",
           "permuted-matrix-matches-dense-gather", _permutations_target,
           _fault_swapped_perm_direction),
+    Fault("permute-skips-column-sort",
+          "the unchecked PAPt build relabels columns without re-sorting "
+          "them within each row",
+          "permuted-matrix-is-canonical", _permutations_target,
+          _fault_permute_skips_column_sort),
     Fault("prev-occurrence-off-by-one",
           "prev_occurrence() shifts every warm index down by one",
           "prev-occurrence-matches-naive", _model_target,

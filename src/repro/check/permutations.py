@@ -11,6 +11,10 @@ extras) applied to each corpus matrix, this suite asserts:
   permutation still restores the original), so a swapped new-to-old /
   old-to-new convention anywhere in the permutation plumbing is caught
   here;
+* **canonical form** — the permuted matrix passes the public
+  :class:`~repro.matrix.csr.CSRMatrix` checks (monotone ``rowptr``,
+  sorted unique columns per row), which its unchecked internal
+  constructor skipped;
 * **conservation** — nnz and the value multiset are preserved;
 * **symmetry preservation** — a PAPᵀ ordering of a pattern-symmetric
   matrix yields a pattern-symmetric matrix;
@@ -27,7 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import features
+from ..errors import MatrixFormatError
 from ..matrix import permute as permute_mod
+from ..matrix.csr import CSRMatrix
 from ..matrix.symmetry import is_pattern_symmetric
 from ..obs.trace import span
 from ..reorder import registry
@@ -38,6 +44,15 @@ SUITE = "permutations"
 
 def _orderings() -> tuple:
     return registry.ALL_ORDERINGS + registry.EXTRA_ORDERINGS
+
+
+def _is_canonical(b) -> bool:
+    """Whether ``b`` passes the public constructor's checks."""
+    try:
+        CSRMatrix(b.nrows, b.ncols, b.rowptr, b.colidx, b.values)
+    except MatrixFormatError:
+        return False
+    return True
 
 
 def check_permutations(matrices, orderings=None, nparts: int = 4,
@@ -82,6 +97,12 @@ def check_permutations(matrices, orderings=None, nparts: int = 4,
                     "applied permutation disagrees with the dense "
                     f"{'PAPt' if result.symmetric else 'PA'} gather "
                     "oracle (swapped direction or dropped entries)")
+
+                report.check(
+                    _is_canonical(b), SUITE, "permuted-matrix-is-canonical",
+                    subject,
+                    "the permuted matrix breaks the CSR invariants "
+                    "(rowptr monotone, sorted unique columns per row)")
 
                 report.check(
                     b.nnz == a.nnz and bool(np.array_equal(

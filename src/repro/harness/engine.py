@@ -69,7 +69,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 from ..errors import HarnessError
 from ..machine.bench import (MeasurementRecord, measurement_record,
-                             simulate_measurement)
+                             simulate_measurement, thread_stats)
 from ..machine.model import PerfModel, predict_cells
 from ..machine.reuse import ReuseStats
 from ..obs import cachestats
@@ -79,7 +79,7 @@ from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
                          set_trace_context, span)
 from ..reorder.registry import check_ordering_names
 from ..spmv.registry import resolve_workload
-from ..spmv.schedule import get_schedule
+from ..spmv.schedule import get_schedules
 
 JOURNAL_VERSION = 1
 #: summed entries of the cells one grid pass may hold; the pending
@@ -456,11 +456,13 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
             return model_failure(ordering_name, kernel, arch, exc, t0)
 
     def score(cells: list, out: dict) -> None:
-        """The grid pass over the batch's fast-path cells: each cell's
-        schedule and record stay its own (a bad cell fails alone), the
-        predictions are one pass.  A ``fastpath=False`` model's cells
-        are left to the per-cell path."""
-        ready = []
+        """The grid pass over the batch's fast-path cells: each matrix's
+        schedules are one batched build, the predictions one pass and
+        the per-thread record statistics one vectorised step, while
+        each cell's record stays its own (a bad cell fails alone).  A
+        ``fastpath=False`` model's cells are left to the per-cell
+        path."""
+        by_matrix: dict = {}  # id(matrix) -> [(cell index, schedule key)]
         for i, (matrix, ordering_name, arch, model, kernel) in \
                 enumerate(cells):
             if not model.fastpath:
@@ -468,19 +470,29 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
             t0 = time.perf_counter()
             try:
                 _, kind = resolve_workload(kernel)
-                ready.append((i, get_schedule(matrix, kind, arch.threads)))
             except CellTimeout:
                 raise  # the pass's budget, not this cell's
             except Exception as exc:  # noqa: BLE001 - fault isolation
                 out[i] = model_failure(ordering_name, kernel, arch, exc, t0)
+                continue
+            by_matrix.setdefault(id(matrix), []).append(
+                (i, (kind, arch.threads)))
+        ready = []
+        for group in by_matrix.values():
+            schedules = get_schedules(cells[group[0][0]][0],
+                                      [key for _, key in group])
+            ready.extend((i, schedule)
+                         for (i, _), schedule in zip(group, schedules))
         preds = predict_cells([(cells[i][0], cells[i][3], schedule)
                                for i, schedule in ready])
-        for (i, schedule), pred in zip(ready, preds):
+        stats = thread_stats([schedule for _, schedule in ready])
+        for (i, _), pred, cell_stats in zip(ready, preds, stats):
             matrix, ordering_name, arch, model, kernel = cells[i]
             t0 = time.perf_counter()
             try:
-                out[i] = measurement_record(matrix, arch, kernel, schedule,
-                                            pred, entry.name, ordering_name)
+                out[i] = measurement_record(matrix, arch, kernel,
+                                            cell_stats, pred, entry.name,
+                                            ordering_name)
             except CellTimeout:
                 raise
             except Exception as exc:  # noqa: BLE001 - fault isolation

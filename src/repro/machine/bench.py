@@ -17,9 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..matrix.csr import CSRMatrix
 from ..spmv.registry import resolve_workload
-from ..spmv.schedule import Schedule, build_schedule, get_schedule
+from ..spmv.schedule import build_schedule, get_schedule
 from .arch import Architecture
 from .model import PerfModel, SpmvPrediction
 
@@ -75,20 +77,47 @@ def simulate_measurement(a: CSRMatrix, arch: Architecture, kernel: str,
         schedule = get_schedule(a, kind, arch.threads)
     else:
         schedule = build_schedule(a, kind, arch.threads)
-    return measurement_record(a, arch, kernel, schedule,
+    return measurement_record(a, arch, kernel, thread_stats([schedule])[0],
                               model.predict(a, schedule), matrix_name,
                               ordering_name)
 
 
+def thread_stats(schedules) -> list:
+    """``(nnz_min, nnz_max, nnz_mean, imbalance)`` of each schedule's
+    nonzeros per thread, for all schedules in one vectorised step.
+
+    Every value equals the per-schedule numpy reduction exactly: the
+    per-thread counts sum to the schedule's entries, an integer that
+    float64 holds exactly, so the mean is ``entries / nthreads`` in any
+    summation order, and the imbalance is ``float(max) / mean`` (1.0
+    when the mean is 0).
+    """
+    if not schedules:
+        return []
+    tcounts = np.array([s.nthreads for s in schedules], dtype=np.int64)
+    per_thread = (np.concatenate([s.entry_start[1:] for s in schedules])
+                  - np.concatenate([s.entry_start[:-1] for s in schedules]))
+    offsets = np.cumsum(tcounts) - tcounts
+    lo = np.minimum.reduceat(per_thread, offsets)
+    hi = np.maximum.reduceat(per_thread, offsets)
+    mean = np.add.reduceat(per_thread, offsets).astype(np.float64) / tcounts
+    imbalance = np.ones(mean.size)
+    busy = mean != 0
+    imbalance[busy] = hi[busy].astype(np.float64) / mean[busy]
+    return list(zip(lo.tolist(), hi.tolist(), mean.tolist(),
+                    imbalance.tolist()))
+
+
 def measurement_record(a: CSRMatrix, arch: Architecture, kernel: str,
-                       schedule: Schedule, pred: SpmvPrediction,
+                       stats: tuple, pred: SpmvPrediction,
                        matrix_name: str = "",
                        ordering_name: str = "") -> MeasurementRecord:
     """Package the record of one cell from its SpMV prediction ``pred``
-    under ``schedule`` — the one place records are built, for
-    :func:`simulate_measurement` and the sweep engine's grid pass
-    alike.  A workload spec other than plain SpMV is scored on top of
-    ``pred`` (:func:`~repro.machine.workloads.predict_workload`)."""
+    and its schedule's :func:`thread_stats` entry ``stats`` — the one
+    place records are built, for :func:`simulate_measurement` and the
+    sweep engine's grid pass alike.  A workload spec other than plain
+    SpMV is scored on top of ``pred``
+    (:func:`~repro.machine.workloads.predict_workload`)."""
     workload, _ = resolve_workload(kernel)
     if workload == "spmv":
         seconds, gflops = pred.seconds, pred.gflops
@@ -97,19 +126,17 @@ def measurement_record(a: CSRMatrix, arch: Architecture, kernel: str,
 
         wp = predict_workload(a, workload, arch, pred)
         seconds, gflops = wp.seconds, wp.gflops
-    per_thread = schedule.nnz_per_thread()
-    mean = float(per_thread.mean()) if per_thread.size else 0.0
-    imb = float(per_thread.max() / mean) if mean else 1.0
+    nnz_min, nnz_max, nnz_mean, imbalance = stats
     return MeasurementRecord(
         matrix=matrix_name,
         ordering=ordering_name,
         kernel=kernel,
         architecture=arch.name,
         nthreads=arch.threads,
-        nnz_min=int(per_thread.min()) if per_thread.size else 0,
-        nnz_max=int(per_thread.max()) if per_thread.size else 0,
-        nnz_mean=mean,
-        imbalance=imb,
+        nnz_min=nnz_min,
+        nnz_max=nnz_max,
+        nnz_mean=nnz_mean,
+        imbalance=imbalance,
         seconds=seconds,
         gflops_max=gflops,
         gflops_mean=gflops * MEAN_PERF_FACTOR,

@@ -72,6 +72,25 @@ class CSRMatrix:
         object.__setattr__(self, "colidx", colidx)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(cls, nrows: int, ncols: int, rowptr: np.ndarray,
+                 colidx: np.ndarray, values: np.ndarray) -> "CSRMatrix":
+        """Wrap arrays that already satisfy every invariant, unchecked.
+
+        Only for the outputs of internal transforms that preserve the
+        invariants of a validated input (the permutations of
+        :mod:`repro.matrix.permute`): ``int64`` ``rowptr``/``colidx``,
+        ``float64`` ``values``, sorted unique columns per row.  Input
+        from outside the library goes through the public constructor.
+        """
+        a = object.__new__(cls)
+        object.__setattr__(a, "nrows", nrows)
+        object.__setattr__(a, "ncols", ncols)
+        object.__setattr__(a, "rowptr", rowptr)
+        object.__setattr__(a, "colidx", colidx)
+        object.__setattr__(a, "values", values)
+        return a
+
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------

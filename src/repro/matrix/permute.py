@@ -54,9 +54,7 @@ def permute_rows(a: CSRMatrix, row_perm: np.ndarray) -> CSRMatrix:
 
     This is cheap in CSR — gather the row slices in the new order.
     """
-    p = _check_perm(row_perm, a.nrows)
-    rowptr, src = _gather_rows(a, p)
-    return CSRMatrix(a.nrows, a.ncols, rowptr, a.colidx[src], a.values[src])
+    return apply_bijection(a, _check_perm(row_perm, a.nrows), False)
 
 
 def _permute_two_sided(a: CSRMatrix, p: np.ndarray,
@@ -66,14 +64,18 @@ def _permute_two_sided(a: CSRMatrix, p: np.ndarray,
 
     ``a`` has strictly increasing columns per row, so the result has no
     duplicate (row, col) pairs and one sort on ``row * ncols + col``
-    suffices — no COO rebuild or duplicate reduction.
+    suffices — no COO rebuild or duplicate reduction.  The keys are
+    unique, so a stable sort gives the same order as any other; it is
+    the faster one here because the keys arrive as sorted runs (the
+    rows are already in place).  ``p`` and ``col_inv`` are checked
+    bijections, so the result is canonical and built unchecked.
     """
     rowptr, src = _gather_rows(a, p)
     cols = col_inv[a.colidx[src]]
     rows = np.repeat(np.arange(a.nrows, dtype=np.int64), np.diff(rowptr))
-    order = np.argsort(rows * a.ncols + cols)
-    return CSRMatrix(a.nrows, a.ncols, rowptr, cols[order],
-                     a.values[src[order]])
+    order = np.argsort(rows * a.ncols + cols, kind="stable")
+    return CSRMatrix._trusted(a.nrows, a.ncols, rowptr, cols[order],
+                              a.values[src[order]])
 
 
 def permute_symmetric(a: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
@@ -84,8 +86,28 @@ def permute_symmetric(a: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
     """
     if not a.is_square:
         raise PermutationError("symmetric permutation requires a square matrix")
-    p = _check_perm(perm, a.nrows)
-    return _permute_two_sided(a, p, invert_permutation(p))
+    return apply_bijection(a, _check_perm(perm, a.nrows), True)
+
+
+def apply_bijection(a: CSRMatrix, p: np.ndarray,
+                    symmetric: bool) -> CSRMatrix:
+    """``PAPᵀ`` (``symmetric``) or ``PA`` for ``p`` already known to be
+    an ``int64`` bijection of its own length — an
+    :class:`~repro.reorder.perm.OrderingResult`'s frozen permutation.
+    Only the fit to ``a`` is checked; the bijection check is not
+    repeated.  ``PA`` moves whole rows, so each keeps its sorted
+    columns and the result is built unchecked."""
+    if p.shape != (a.nrows,):
+        raise PermutationError(
+            f"permutation has length {p.size}, expected {a.nrows}")
+    if symmetric:
+        if not a.is_square:
+            raise PermutationError(
+                "symmetric permutation requires a square matrix")
+        return _permute_two_sided(a, p, invert_permutation(p))
+    rowptr, src = _gather_rows(a, p)
+    return CSRMatrix._trusted(a.nrows, a.ncols, rowptr, a.colidx[src],
+                              a.values[src])
 
 
 def permute_csr(a: CSRMatrix, row_perm: np.ndarray,

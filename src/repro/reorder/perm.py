@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import PermutationError
 from ..matrix.csr import CSRMatrix
-from ..matrix.permute import permute_rows, permute_symmetric
+from ..matrix.permute import apply_bijection
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,9 @@ class OrderingResult:
         becomes row ``k``.
     symmetric:
         True if the permutation applies to rows *and* columns (PAPᵀ);
-        False for row-only orderings (PA) like Gray.
+        False for row-only orderings (PA) like Gray.  Checked to be a
+        bijection at construction and frozen (a read-only private
+        copy), so :meth:`apply` need not check it again.
     seconds:
         Wall-clock time spent computing the ordering (Table 5).
     """
@@ -45,6 +47,8 @@ class OrderingResult:
         if not bool(seen.all()):
             raise PermutationError(
                 f"{self.algorithm}: permutation is not a bijection")
+        perm = perm.copy()
+        perm.flags.writeable = False
         object.__setattr__(self, "perm", perm)
 
     @property
@@ -53,9 +57,7 @@ class OrderingResult:
 
     def apply(self, a: CSRMatrix) -> CSRMatrix:
         """Apply this ordering to ``a`` (PAPᵀ or PA as appropriate)."""
-        if self.symmetric:
-            return permute_symmetric(a, self.perm)
-        return permute_rows(a, self.perm)
+        return apply_bijection(a, self.perm, self.symmetric)
 
 
 def identity_ordering(n: int) -> OrderingResult:

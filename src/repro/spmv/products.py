@@ -1,7 +1,7 @@
 """Sparse products beyond single-vector SpMV: SpGEMM and SpMM.
 
-The paper scores reorderings on one SpMV iteration; ROADMAP item 2
-adds the two product workloads whose reordering story differs:
+The paper scores reorderings on one SpMV iteration; this module adds
+the two product workloads whose reordering story differs:
 
 * :func:`spgemm` — C = A·B over CSR (default B = A, the A² kernel the
   SpGEMM reordering literature studies).  Each nonzero ``(i, k)`` of A

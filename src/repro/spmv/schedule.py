@@ -56,6 +56,18 @@ class Schedule:
         object.__setattr__(self, "entry_start", es)
         object.__setattr__(self, "row_start", rs)
 
+    @classmethod
+    def _trusted(cls, kind: str, nthreads: int, entry_start: np.ndarray,
+                 row_start: np.ndarray) -> "Schedule":
+        """Wrap ``int64`` boundaries that :func:`build_schedules` has
+        already checked, batch-wide, without a per-schedule check."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "kind", kind)
+        object.__setattr__(s, "nthreads", nthreads)
+        object.__setattr__(s, "entry_start", entry_start)
+        object.__setattr__(s, "row_start", row_start)
+        return s
+
     def nnz_per_thread(self) -> np.ndarray:
         """Entries owned by each thread (length ``nthreads``)."""
         return np.diff(self.entry_start)
@@ -132,27 +144,99 @@ _HITS = REGISTRY.counter("schedule.hits")
 
 def get_schedule(a: CSRMatrix, kind: str, nthreads: int) -> Schedule:
     """Memoised :func:`schedule_1d` / :func:`schedule_2d` /
-    :func:`schedule_merge` per (matrix, kind, nthreads).
+    :func:`schedule_merge` per (matrix, kind, nthreads): the one-key
+    case of :func:`get_schedules`."""
+    return get_schedules(a, [(kind, nthreads)])[0]
+
+
+def get_schedules(a: CSRMatrix, keys) -> list:
+    """The schedule of every ``(kind, nthreads)`` in ``keys``, in order,
+    memoised per matrix; the keys not yet memoised are built in one
+    :func:`build_schedules` call.
 
     A sweep evaluates the same matrix under eight architectures whose
     core counts overlap, and the performance model is deterministic in
     (kind, nthreads), so identical schedules were being rebuilt per
     cell.  The cache lives on the matrix object itself (dropped by
     ``CSRMatrix.__getstate__`` on pickling, so worker fan-out does not
-    ship it) and schedules are immutable, so sharing is safe.
+    ship it) and schedules are immutable, so sharing is safe.  Each
+    distinct key built counts one ``schedule.builds``; every other key
+    counts one ``schedule.hits``, as if looked up one at a time.
     """
     cache = getattr(a, "_cache_schedules", None)
     if cache is None:
         cache = {}
         object.__setattr__(a, "_cache_schedules", cache)
-    key = (kind, int(nthreads))
-    schedule = cache.get(key)
-    if schedule is not None:
-        _HITS.inc()
-        return schedule
-    schedule = cache[key] = build_schedule(a, kind, nthreads)
-    _BUILDS.inc()
-    return schedule
+    keys = [(kind, int(nthreads)) for kind, nthreads in keys]
+    missing = [k for k in dict.fromkeys(keys) if k not in cache]
+    if missing:
+        cache.update(zip(missing, build_schedules(a, missing)))
+        _BUILDS.inc(len(missing))
+    if len(keys) > len(missing):
+        _HITS.inc(len(keys) - len(missing))
+    return [cache[k] for k in keys]
+
+
+def build_schedules(a: CSRMatrix, keys) -> list:
+    """The schedule of every ``(kind, nthreads)`` in ``keys``, built in
+    one call, bit-identical to :func:`schedule_1d`/:func:`schedule_2d`
+    (``"merge"`` keys are built by :func:`schedule_merge`).
+
+    All the schedules' boundaries are computed as one concatenated
+    array.  The equal splits repeat ``np.linspace(0, n, T + 1)``'s
+    float64 arithmetic (``k * (n / T)``, endpoint pinned to ``n``; ``n``
+    is ``nrows`` for 1D, ``nnz`` for 2D) before the cast to ``int64``;
+    the 1D entry starts are one gather from ``rowptr`` and the 2D row
+    starts one ``searchsorted``.  One vectorised test then checks every
+    schedule's invariants (entry 0 first, non-decreasing ranges), in
+    place of a :class:`Schedule` constructor check per schedule.
+    """
+    keys = list(keys)
+    out: list = [None] * len(keys)
+    linear = []  # (position, is 1D, nthreads)
+    for i, (kind, nthreads) in enumerate(keys):
+        if kind not in _BUILDERS:
+            raise ScheduleError(f"unknown kernel kind {kind!r}")
+        if nthreads < 1:
+            raise ScheduleError(f"nthreads must be >= 1, got {nthreads}")
+        if kind == "merge":
+            out[i] = schedule_merge(a, nthreads)
+        else:
+            linear.append((i, kind == "1d", int(nthreads)))
+    if not linear:
+        return out
+    seg_1d = np.array([is_1d for _, is_1d, _ in linear])
+    tcounts = np.array([nthreads for _, _, nthreads in linear])
+    n = np.where(seg_1d, a.nrows, a.nnz)
+    ends = np.cumsum(tcounts + 1)
+    starts = ends - tcounts - 1
+    seg = np.repeat(np.arange(len(linear)), tcounts + 1)
+    k = np.arange(ends[-1]) - starts[seg]
+    splits = k * (n / tcounts)[seg]
+    splits[ends - 1] = n
+    bounds = splits.astype(np.int64)
+    on_1d = seg_1d[seg]
+    entry_start = np.where(on_1d, a.rowptr[np.where(on_1d, bounds, 0)],
+                           bounds)
+    # 2D: the row containing entry e is the last row whose rowptr <= e
+    # (never past nrows: searchsorted into nrows + 1 starts)
+    row_start = np.where(on_1d, bounds,
+                         np.searchsorted(a.rowptr, bounds, side="right") - 1)
+    row_start[starts] = 0
+    row_start[ends - 1] = a.nrows
+    steps = (entry_start[1:] - entry_start[:-1],
+             row_start[1:] - row_start[:-1])
+    for d in steps:
+        d[ends[:-1] - 1] = 0  # across schedules, not within one
+    require(not entry_start[starts].any()
+            and min(d.min() for d in steps) >= 0,
+            ScheduleError, "a batched schedule breaks the schedule "
+            "invariants (first entry 0, non-decreasing ranges)")
+    for (i, is_1d, nthreads), lo, hi in zip(linear, starts.tolist(),
+                                            ends.tolist()):
+        out[i] = Schedule._trusted("1d" if is_1d else "2d", nthreads,
+                                   entry_start[lo:hi], row_start[lo:hi])
+    return out
 
 
 def schedule_2d(a: CSRMatrix, nthreads: int) -> Schedule:

@@ -257,6 +257,14 @@ def read_header(path: str) -> dict:
     for key in ("nrows", "ncols", "nnz"):
         if not isinstance(header.get(key), int) or header[key] < 0:
             raise StorageError(f"{path}: header field {key!r} invalid")
+    crc = header.get("crc")
+    if not isinstance(crc, dict) or not all(
+            type(crc.get(name)) is int for name, _ in ARRAY_FILES):
+        raise StorageError(
+            f"{path}: header field 'crc' must map each of "
+            f"{', '.join(name for name, _ in ARRAY_FILES)} to an integer")
+    if "dtypes" not in header:
+        raise StorageError(f"{path}: header field 'dtypes' missing")
     return header
 
 

@@ -107,3 +107,24 @@ def test_signed_zero_and_nan_payloads_survive():
         got = permute_symmetric(a, p)
         _assert_bitexact(got, _oracle(a, p, p))
         assert sorted(got.values.view(np.uint64)) == sorted(bits)
+
+
+@pytest.mark.parametrize("tier", ["tiny", "small"])
+def test_stable_column_sort_matches_default_sort(tier):
+    """The keys ``row * ncols + col`` that re-sort the columns of
+    ``PAPᵀ`` are unique, so the stable sort it uses picks the same
+    order as the default one."""
+    from repro.matrix.permute import _gather_rows
+
+    rng = np.random.default_rng(3)
+    for e in build_corpus(tier, seed=0):
+        a = e.matrix
+        p = rng.permutation(a.nrows)
+        rowptr, src = _gather_rows(a, p)
+        cols = invert_permutation(p)[a.colidx[src]]
+        rows = np.repeat(np.arange(a.nrows, dtype=np.int64),
+                         np.diff(rowptr))
+        keys = rows * a.ncols + cols
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              np.argsort(keys)), e.name
+        _assert_bitexact(permute_symmetric(a, p), _oracle(a, p, p))

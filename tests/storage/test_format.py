@@ -177,3 +177,40 @@ def test_attach_memo(tmp_path):
                                      + m1.values.nbytes)
     fmt.detach_all()
     assert fmt.attached_count() == 0
+
+
+def _drop_colidx_crc(h):
+    del h["crc"]["colidx"]
+
+
+def _crc_as_list(h):
+    h["crc"] = list(h["crc"].values())
+
+
+def _drop_crc(h):
+    del h["crc"]
+
+
+def _drop_dtypes(h):
+    del h["dtypes"]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_colidx_crc, _crc_as_list,
+                                     _drop_crc, _drop_dtypes])
+def test_malformed_crc_or_dtypes_header_is_a_storage_error(tmp_path,
+                                                           corrupt):
+    path = str(tmp_path / "m")
+    fmt.write_matrix(path, _small())
+    hpath = os.path.join(path, "header.json")
+    with open(hpath) as fh:
+        header = json.load(fh)
+    corrupt(header)
+    with open(hpath, "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(StorageError):
+        fmt.read_header(path)
+    with pytest.raises(StorageError):
+        fmt.open_matrix(path, verify="crc")
+    with pytest.raises(StorageError):
+        fmt.matrix_signature(path)
+    assert fmt.verify_matrix(path, level="crc") != []
