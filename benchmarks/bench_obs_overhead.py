@@ -19,10 +19,12 @@ a wall-clock A/B (CI machines are noisy; an inline tiny sweep has a
    default, step 2 would measure the ~10x dearer enabled path and
    blow the gate.
 
-A median-of-interleaved-runs A/B (instrumented vs a no-obs build with
-``span``/``Counter.inc`` monkeypatched away) is still measured and
-reported in ``benchmarks/output/<tier>/bench_obs_overhead.json`` as
-end-to-end evidence, but only sanity-checked loosely.
+A median-of-interleaved-rounds A/B (instrumented vs a no-obs build
+with ``span``/``Counter.inc`` monkeypatched away; in each round each
+arm repeats the sweep over fresh corpus copies for
+:data:`MACRO_CPU_SECONDS` of CPU) is still measured and reported in
+``benchmarks/output/<tier>/bench_obs_overhead.json`` as end-to-end
+evidence, but only sanity-checked loosely.
 """
 
 from __future__ import annotations
@@ -42,8 +44,11 @@ from repro.util import format_table
 
 from conftest import SEED
 
-#: interleaved repetitions per arm for the (informational) macro A/B.
+#: interleaved rounds per arm for the (informational) macro A/B.
 REPEATS = 5
+#: CPU seconds each arm sweeps for in one macro A/B round: one ~10 ms
+#: sweep is too short to time against run-to-run noise
+MACRO_CPU_SECONDS = 0.2
 MATRICES = 4
 OVERHEAD_GATE = 0.05
 #: the macro A/B only guards against egregious regressions.
@@ -124,21 +129,34 @@ def _count_instrumentation_calls(corpus) -> dict:
     return calls
 
 
-def _median_interleaved(corpora) -> tuple:
-    """Median wall time per arm, alternating arms run-by-run so CPU
-    frequency ramps and cache warmup drift hit both equally."""
+def _sweep_for(corpus, cpu_seconds: float) -> list:
+    """Wall times of the sweep, repeated over fresh copies of
+    ``corpus`` until ``cpu_seconds`` of CPU time are used."""
+    times = []
+    cpu0 = time.process_time()
+    while time.process_time() - cpu0 < cpu_seconds:
+        times.append(_run_workload(_fresh_copies(corpus)))
+    return times
+
+
+def _median_interleaved(corpus) -> tuple:
+    """Median over rounds of each arm's mean sweep time, alternating
+    the arms' order round by round so CPU frequency ramps and cache
+    warmup drift hit both equally; also the sweeps per arm."""
     instrumented, baseline = [], []
     for i in range(REPEATS):
         for arm in ((0, 1) if i % 2 == 0 else (1, 0)):
             if arm == 0:
-                instrumented.append(_run_workload(corpora.pop()))
+                instrumented.append(_sweep_for(corpus, MACRO_CPU_SECONDS))
             else:
                 undo = _patch_obs(_null_span, lambda self, n=1: None)
                 try:
-                    baseline.append(_run_workload(corpora.pop()))
+                    baseline.append(_sweep_for(corpus, MACRO_CPU_SECONDS))
                 finally:
                     undo()
-    return statistics.median(instrumented), statistics.median(baseline)
+    return (statistics.median(map(statistics.fmean, instrumented)),
+            statistics.median(map(statistics.fmean, baseline)),
+            sum(map(len, instrumented + baseline)))
 
 
 def test_disabled_tracing_overhead_under_gate(emit, emit_json):
@@ -146,9 +164,9 @@ def test_disabled_tracing_overhead_under_gate(emit, emit_json):
         "this gate measures the disabled fast path"
     # fresh corpora per run: matrices memoise their statistics, so
     # reuse would shrink later runs and skew the comparison
-    # one corpus per run: warmup + call-count + 3 timed + the macro A/B
+    # one corpus per run: warmup + call-count + 3 timed
     corpora = [build_corpus("tiny", seed=SEED)[:MATRICES]
-               for _ in range(2 * REPEATS + 5)]
+               for _ in range(5)]
     _run_workload(corpora.pop())  # warm caches/imports
 
     # -- deterministic gate: calls x per-call cost vs workload time ----
@@ -181,7 +199,8 @@ def test_disabled_tracing_overhead_under_gate(emit, emit_json):
          f"{workload_s * 1e3:.1f}ms); gate is {OVERHEAD_GATE:.0%}")
 
     # -- macro A/B: end-to-end evidence, loosely sanity-checked --------
-    instrumented_s, baseline_s = _median_interleaved(corpora)
+    instrumented_s, baseline_s, macro_sweeps = _median_interleaved(
+        build_corpus("tiny", seed=SEED)[:MATRICES])
     macro_overhead = instrumented_s / baseline_s - 1.0
     assert macro_overhead < MACRO_SANITY, \
         (f"instrumented sweep {macro_overhead:.0%} slower than the "
@@ -206,6 +225,7 @@ def test_disabled_tracing_overhead_under_gate(emit, emit_json):
         "counter_inc_ns": round(counter_inc_ns, 1),
         "overhead_fraction": round(overhead, 6),
         "gate_fraction": OVERHEAD_GATE,
+        "macro_sweeps": macro_sweeps,
         "macro_instrumented_seconds": round(instrumented_s, 5),
         "macro_no_obs_seconds": round(baseline_s, 5),
         "macro_overhead_fraction": round(macro_overhead, 5),

@@ -242,11 +242,24 @@ def _fault_kernel_2d_drops_boundary_partial():
 
     orig = kernels._boundary_partials
 
-    def dropping(a, schedule, products):
-        rows, partials = orig(a, schedule, products)
-        return rows, partials[:-1]  # the row restarts from zero only
+    def dropping(a, x, plan):
+        rows, partials = orig(a, x, plan)
+        return rows[:-1], partials[:-1]  # the row restarts from zero only
 
     return _patched(kernels, "_boundary_partials", dropping)
+
+
+def _fault_kernel_2d_skips_boundary_reset():
+    from ..spmv import kernels
+
+    orig = kernels._boundary_plan
+
+    def unreset(a, schedule):
+        # the memoised plan stays intact: only this call's copy changes
+        plan = orig(a, schedule)
+        return plan._replace(reset=plan.reset[:0])
+
+    return _patched(kernels, "_boundary_plan", unreset)
 
 
 def _fault_model_fastpath_drift():
@@ -611,6 +624,11 @@ FAULTS = (
           "never adds that thread's partial sum",
           "spmv-matches-dense-oracle", _kernels_target,
           _fault_kernel_2d_drops_boundary_partial),
+    Fault("kernel-2d-skips-boundary-reset",
+          "the 2D kernel adds the boundary partials on top of the "
+          "compiled row sums instead of restarting those rows from zero",
+          "spmv-matches-dense-oracle", _kernels_target,
+          _fault_kernel_2d_skips_boundary_reset),
     Fault("swapped-permutation-direction",
           "a symmetric ordering applies the inverse (old-to-new) "
           "permutation",

@@ -127,8 +127,9 @@ class CSRMatrix:
 
     def __getstate__(self) -> dict:
         """Drop memoised derivatives (``_cache_*``: row-of-entry,
-        schedules, reuse statistics) so pickling a matrix — e.g. for
-        sweep-engine worker fan-out — ships only the defining arrays."""
+        schedules, reuse statistics, the compiled SpMV operator) so
+        pickling a matrix — e.g. for sweep-engine worker fan-out —
+        ships only the defining arrays."""
         return {k: v for k, v in self.__dict__.items()
                 if not k.startswith("_cache_")}
 

@@ -1,22 +1,36 @@
 """Numerically exact execution of the scheduled SpMV kernels.
 
-Each kernel is one pass: the products are formed once and one
-``np.bincount`` sums them into their rows, each row in CSR order from
-zero.  The schedule only decides where partial sums split: as in the
-paper's race-free 2D kernel, each thread sums its first/last (partial)
-rows privately, and those rows of ``y`` restart from zero and add the
-per-thread partials in thread order — bit-identical to running each
-thread's segment in turn.  ``bincount`` is cast to float64: for an
-empty index array it returns int64 even with ``weights=``.
+Every row sum is one compiled CSR product: a ``scipy.sparse``
+operator over the matrix's own arrays, memoised on the matrix, sums
+each row in CSR order from zero.  The schedule only decides where
+partial sums split: as in the paper's race-free 2D kernel, each
+thread sums its first/last (partial) rows privately, and those rows
+of ``y`` restart from zero and add the per-thread partials in thread
+order — bit-identical to running each thread's segment in turn.
+
+The partials follow numpy's ``.sum()`` order, which the bit-exact
+oracle (``tests/spmv/test_kernel_bitexact.py``) pins.  A span shorter
+than :data:`_SEQUENTIAL_BELOW` entries sums sequentially, so all short
+spans are summed in one padded pass: their products are gathered into
+a ``(longest span, spans)`` block padded with ``-0.0`` (``s + -0.0 ==
+s`` for every ``s``) and added column by column.  Longer spans keep
+their own ``.sum()``.  One ``np.add.at``, which applies in index
+order, then adds every partial to its row in thread order.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ScheduleError
 from ..matrix.csr import CSRMatrix
 from .schedule import Schedule, build_schedule
+
+#: numpy's ``.sum()`` adds a contiguous run of fewer entries than this
+#: in order; from here up it switches to pairwise summation
+_SEQUENTIAL_BELOW = 8
 
 
 def _check_x(a: CSRMatrix, x: np.ndarray, block: bool = False) -> np.ndarray:
@@ -66,57 +80,123 @@ def _check_values(a: CSRMatrix) -> None:
             f"({a.values[bad]!r}); SpMV would silently produce NaNs")
 
 
-def _boundary_partials(a: CSRMatrix, schedule: Schedule,
-                       products: np.ndarray) -> tuple:
-    """Each thread's boundary rows and their partial sums.
+def _operator(a: CSRMatrix):
+    """The compiled CSR product over ``a``'s arrays, memoised on ``a``.
 
-    Returns ``(rows, [(row, partial)])`` in thread order (first row,
-    then last row when different).  ``products`` must be C-contiguous:
-    the order in which ``.sum(axis=0)`` adds an ``(n, k)`` block
-    depends on its layout.  The rows are a contiguous prefix and
-    suffix of the thread's segment, so every entry of a boundary row
-    lies in one of the ``(row, start, end)`` spans; those are memoised
-    on the matrix per ``entry_start``, like
-    :func:`~repro.spmv.schedule.get_schedule`.
+    scipy reads ``values`` in place and may narrow copies of the index
+    arrays; it never writes to any of them.  The memo drops on
+    pickling, like every ``_cache_*`` attribute.  scipy is imported on
+    first use: processes that never multiply (the advisor daemon)
+    skip its import time.
+    """
+    op = getattr(a, "_cache_csr_operator", None)
+    if op is None:
+        import scipy.sparse as sp
+
+        op = sp.csr_matrix((a.values, a.colidx, a.rowptr), shape=a.shape)
+        object.__setattr__(a, "_cache_csr_operator", op)
+    return op
+
+
+class _Fixup(NamedTuple):
+    """A schedule's boundary fix-up, precomputed once per matrix."""
+
+    reset: np.ndarray     # boundary rows, zeroed before the partials
+    rows: np.ndarray      # row of every span, in thread order
+    short: np.ndarray     # positions (in ``rows``) of the short spans
+    values: np.ndarray    # values of the short spans' entries
+    cols: np.ndarray      # columns of the short spans' entries
+    pad: np.ndarray       # (longest short span, short spans) gather
+    #                       index into those entries; len(values) pads
+    long: tuple           # (position, start, end) of every longer span
+
+
+def _boundary_plan(a: CSRMatrix, schedule: Schedule) -> _Fixup:
+    """Each thread's boundary spans, memoised per ``entry_start``.
+
+    A thread's first and last rows are a contiguous prefix and suffix
+    of its segment, so every entry of a boundary row lies in one of
+    the ``(row, start, end)`` spans, listed first row then last row,
+    thread by thread.
     """
     cache = getattr(a, "_cache_boundary_spans", None)
     if cache is None:
         cache = {}
         object.__setattr__(a, "_cache_boundary_spans", cache)
     key = schedule.entry_start.tobytes()
-    if key not in cache:
-        rows, rowptr, spans = a.row_of_entry(), a.rowptr, []
-        bounds = schedule.entry_start.tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if lo == hi:
-                continue
-            first, last = int(rows[lo]), int(rows[hi - 1])
-            spans.append((first, lo, min(int(rowptr[first + 1]), hi)))
-            if last != first:
-                spans.append((last, int(rowptr[last]), hi))
-        cache[key] = (np.array([row for row, _, _ in spans], dtype=np.int64),
-                      tuple(spans))
-    rows, spans = cache[key]
-    return rows, [(row, products[start:end].sum(axis=0))
-                  for row, start, end in spans]
+    plan = cache.get(key)
+    if plan is None:
+        plan = cache[key] = _build_plan(a, schedule.entry_start)
+    return plan
 
 
-def _row_sums(a: CSRMatrix, products: np.ndarray,
-              boundary: tuple | None = None) -> np.ndarray:
-    """Sum ``products`` (``(nnz,)`` or ``(nnz, k)``) into their rows in
-    one ``bincount`` per column; then restart the ``boundary`` rows
-    from zero and add their partial sums in order."""
-    rows = a.row_of_entry()
-    sums = [np.bincount(rows, weights=w, minlength=a.nrows)
-            for w in np.atleast_2d(products.T)]
-    y = sums[0] if products.ndim == 1 else np.column_stack(sums)
-    # an empty index array makes bincount return int64, even with
-    # weights=, and y[row] += partial would then truncate
-    y = y.astype(np.float64, copy=False)
-    if boundary is not None:
-        y[boundary[0]] = 0.0
-        for row, partial in boundary[1]:
-            y[row] += partial
+def _build_plan(a: CSRMatrix, entry_start: np.ndarray) -> _Fixup:
+    lo, hi = entry_start[:-1], entry_start[1:]
+    lo, hi = lo[lo < hi], hi[lo < hi]
+    rows_of = a.row_of_entry()
+    first, last = rows_of[lo], rows_of[hi - 1]
+    # (thread, {first, last}) grid, flattened in thread order
+    rows = np.stack([first, last], axis=1)
+    start = np.stack([lo, a.rowptr[last]], axis=1)
+    end = np.stack([np.minimum(a.rowptr[first + 1], hi), hi], axis=1)
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 1] = last != first
+    rows, start, end = rows[keep], start[keep], end[keep]
+    length = end - start
+    is_short = length < _SEQUENTIAL_BELOW
+    short = np.flatnonzero(is_short)
+    s_start, s_len = start[short], length[short]
+    offset = np.cumsum(s_len) - s_len
+    n_ent = int(s_len.sum())
+    entries = (np.repeat(s_start - offset, s_len)
+               + np.arange(n_ent, dtype=np.int64))
+    width = int(s_len.max()) if short.size else 0
+    j = np.arange(width, dtype=np.int64)[:, None]
+    pad = np.where(j < s_len, offset + j, n_ent)
+    longer = np.flatnonzero(~is_short)
+    long = tuple(zip(longer.tolist(), start[longer].tolist(),
+                     end[longer].tolist()))
+    return _Fixup(np.unique(rows), rows, short, a.values[entries],
+                  a.colidx[entries], pad, long)
+
+
+def _boundary_partials(a: CSRMatrix, x: np.ndarray,
+                       plan: _Fixup) -> tuple:
+    """``(rows, partials)``: every span's row and its partial sum, in
+    thread order; ``x`` is ``(ncols,)`` or ``(ncols, k)``.
+
+    Products are formed for the spans' entries only.  The short spans
+    are summed together, column by column of the padded block; each
+    longer span keeps numpy's own ``.sum()``.
+    """
+    tail = x.shape[1:]
+    col = (slice(None),) + (None,) * len(tail)
+    products = np.empty((plan.values.size + 1,) + tail)
+    np.multiply(plan.values[col], x[plan.cols], out=products[:-1])
+    products[-1] = -0.0
+    block = products[plan.pad]
+    partials = np.empty((plan.rows.size,) + tail)
+    if plan.short.size:
+        acc = block[0]
+        for column in block[1:]:
+            acc += column
+        partials[plan.short] = acc
+    for pos, start, end in plan.long:
+        partials[pos] = (a.values[start:end][col]
+                         * x[a.colidx[start:end]]).sum(axis=0)
+    return plan.rows, partials
+
+
+def _product(a: CSRMatrix, x: np.ndarray, schedule: Schedule) -> np.ndarray:
+    """``A @ x`` under ``schedule``: the compiled row sums, then for
+    2D/merge the boundary rows restart from zero and add their
+    partials in thread order."""
+    y = _operator(a) @ x
+    if schedule.kind != "1d":
+        plan = _boundary_plan(a, schedule)
+        rows, partials = _boundary_partials(a, x, plan)
+        y[plan.reset] = 0.0
+        np.add.at(y, rows, partials)
     return y
 
 
@@ -127,7 +207,7 @@ def spmv_1d(a: CSRMatrix, x: np.ndarray, schedule: Schedule) -> np.ndarray:
         raise ScheduleError(f"expected a 1d schedule, got {schedule.kind!r}")
     x = _check_x(a, x)
     _check_values(a)
-    return _row_sums(a, a.values * x[a.colidx])
+    return _product(a, x, schedule)
 
 
 def spmv_2d(a: CSRMatrix, x: np.ndarray, schedule: Schedule) -> np.ndarray:
@@ -140,8 +220,7 @@ def spmv_2d(a: CSRMatrix, x: np.ndarray, schedule: Schedule) -> np.ndarray:
             f"expected a 2d or merge schedule, got {schedule.kind!r}")
     x = _check_x(a, x)
     _check_values(a)
-    products = a.values * x[a.colidx]
-    return _row_sums(a, products, _boundary_partials(a, schedule, products))
+    return _product(a, x, schedule)
 
 
 def spmv(a: CSRMatrix, x: np.ndarray, kind: str = "1d",

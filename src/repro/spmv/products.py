@@ -14,10 +14,10 @@ the two product workloads whose reordering story differs:
   of the streamed CSR arrays is amortised while gathers and compute
   scale with ``k``.
 
-Both run as vectorised numpy in a deterministic reduction order
-(SpGEMM: sorted segments + ``reduceat``; SpMM: the one-pass
-``bincount`` of :mod:`repro.spmv.kernels`, float64-cast), so runs
-under any ``PYTHONHASHSEED`` are bit-identical.
+Both run in a deterministic reduction order (SpGEMM: vectorised numpy,
+sorted segments + ``reduceat``; SpMM: the compiled CSR product and
+boundary fix-up of :mod:`repro.spmv.kernels`), so runs under any
+``PYTHONHASHSEED`` are bit-identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import ScheduleError
 from ..matrix.csr import CSRMatrix
-from .kernels import _boundary_partials, _check_values, _check_x, _row_sums
+from .kernels import _check_values, _check_x, _product
 from .schedule import build_schedule
 
 
@@ -114,16 +114,13 @@ def spmm(a: CSRMatrix, x: np.ndarray, kind: str = "1d",
          nthreads: int = 1) -> np.ndarray:
     """Y = A·X for a dense ``(ncols, k)`` block X.
 
-    Runs as :func:`~repro.spmv.kernels.spmv_1d` / ``spmv_2d`` do: one
-    pass with one ``np.bincount`` per column of X, and for 2D/merge
-    the boundary rows combined from per-thread partial sums in thread
-    order — each product is a length-``k`` row instead of a scalar.
+    Runs as :func:`~repro.spmv.kernels.spmv_1d` / ``spmv_2d`` do: the
+    compiled CSR product sums every row of every column in CSR order,
+    and for 2D/merge the boundary rows are combined from per-thread
+    partial sums in thread order — each product is a length-``k`` row
+    instead of a scalar.
     """
     schedule = build_schedule(a, kind, nthreads)
     x = _check_x(a, x, block=True)
     _check_values(a)
-    # gathered as a (k, nnz) block: one contiguous row per column of X
-    products = (x.T.take(a.colidx, axis=1) * a.values).T
-    return _row_sums(a, products, None if kind == "1d" else
-                     _boundary_partials(a, schedule,
-                                        np.ascontiguousarray(products)))
+    return _product(a, x, schedule)

@@ -1,5 +1,10 @@
 """Tests for the corpus registry and named stand-ins."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -96,6 +101,26 @@ def test_named_matrix_deterministic():
     a = named_matrix("Freescale2", scale=0.25)
     b = named_matrix("Freescale2", scale=0.25)
     assert np.array_equal(a.matrix.colidx, b.matrix.colidx)
+
+
+def test_named_matrix_deterministic_across_processes():
+    # seed 0 derives the generator seed from the name; it must not
+    # depend on the interpreter's hash randomisation
+    script = ("import hashlib; from repro.generators import named_matrix; "
+              "a = named_matrix('Freescale2', scale=0.25).matrix; "
+              "print(hashlib.sha256(a.colidx.tobytes()"
+              " + a.values.tobytes()).hexdigest())")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    digests = set()
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=src + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_figure1_and_table5_stand_ins_present():

@@ -48,8 +48,8 @@ def test_fully_empty_matrix(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_no_entries_gives_float64_zeros(kind):
-    # np.bincount of an empty index array is int64 even with weights=;
-    # the kernels must cast, or y[row] += partial would truncate
+    # an empty matrix must still give float64 zeros, or a later
+    # y[row] += partial would truncate
     a = csr_from_dense(np.zeros((4, 3)))
     assert a.nnz == 0
     y = spmv(a, np.ones(3), kind, 2)
