@@ -8,7 +8,7 @@ computations, SpMV kernel launches, model predictions), not wall
 time, so it cannot flake on a noisy CI runner:
 
 1. one ``run_check(quick=True)`` is executed with counting wrappers
-   around ``compute_ordering``, the three SpMV kernels and
+   around ``compute_ordering``, the two SpMV kernels and
    ``PerfModel.predict``;
 2. the gate asserts each count stays under an explicit budget sized
    to the quick corpus (a new suite or a corpus-subsampling
@@ -36,7 +36,7 @@ from conftest import SEED
 #: breach means the quick tier stopped being quick, not a flaky timer.
 BUDGET = {
     "compute_ordering": 800,    # currently ~400 (permutation suite x2)
-    "spmv_kernel": 450,         # currently ~390 (kernels + solvers)
+    "spmv_kernel": 450,         # currently ~310 (kernels + solvers)
     "model_predict": 900,       # currently ~480 (model + artifacts)
 }
 #: coverage floor: quick subsampling must not hollow the tier out
@@ -58,7 +58,7 @@ def test_quick_check_fits_op_budget(emit, emit_json):
     saved = [
         (registry_mod, "compute_ordering", "compute_ordering"),
         (kernels_mod, "spmv_1d", "spmv_kernel"),
-        (kernels_mod, "spmv_2d", "spmv_kernel"),  # also the merge path
+        (kernels_mod, "spmv_2d", "spmv_kernel"),
         (model_mod.PerfModel, "predict", "model_predict"),
     ]
     originals = [(obj, name, getattr(obj, name)) for obj, name, _ in saved]

@@ -23,7 +23,7 @@ from ..analysis.classes import ClassificationInput, classify_matrix
 from ..errors import AdvisorError
 from ..harness.engine import SweepEngine
 from ..harness.runner import OrderingCache, SweepResult
-from ..spmv.registry import resolve_workload
+from ..spmv.registry import KERNELS, resolve_workload
 from .featurize import assemble, matrix_features
 
 #: taxonomy placeholder when the sweep lacks one of the two kernels
@@ -56,7 +56,7 @@ def _best_ordering(speedups: dict) -> tuple:
 
 
 def build_dataset(corpus: list, architectures: list, orderings=None,
-                  kernels: tuple = ("1d", "2d"),
+                  kernels: tuple = KERNELS,
                   cache: OrderingCache | None = None,
                   sweep: SweepResult | None = None, seed=0) -> list:
     """Labeled rows for every (corpus entry, architecture, kernel).

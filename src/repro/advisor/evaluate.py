@@ -23,6 +23,7 @@ import numpy as np
 
 from ..analysis.stats import geomean
 from ..errors import AdvisorError
+from ..spmv.registry import KERNELS
 from .dataset import build_dataset
 from .featurize import FEATURE_NAMES
 from .service import Advisor
@@ -97,7 +98,7 @@ class EvaluationReport:
 
 
 def evaluate_advisor(advisor: Advisor, corpus: list, architectures: list,
-                     orderings=None, kernels: tuple = ("1d", "2d"),
+                     orderings=None, kernels: tuple = KERNELS,
                      cache=None, sweep=None, seed=0,
                      iterations: float | None = None) -> EvaluationReport:
     """Score ``advisor`` against the modelled sweep of ``corpus``.

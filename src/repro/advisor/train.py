@@ -10,6 +10,7 @@ from __future__ import annotations
 from ..generators.suite import build_corpus
 from ..harness.runner import OrderingCache, SweepResult
 from ..machine.arch import get_architecture
+from ..spmv.registry import KERNELS
 from .dataset import build_dataset
 from .model import AdvisorModel
 
@@ -18,7 +19,7 @@ DEFAULT_ARCHITECTURES = ("Milan B",)
 
 
 def train_model(corpus=None, tier: str = "tiny", architectures=None,
-                orderings=None, kernels: tuple = ("1d", "2d"),
+                orderings=None, kernels: tuple = KERNELS,
                 cache: OrderingCache | None = None,
                 sweep: SweepResult | None = None, seed=0, k: int = 5,
                 limit: int | None = None) -> AdvisorModel:

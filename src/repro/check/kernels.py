@@ -1,11 +1,11 @@
 """Differential checks of the SpMV-family kernels against dense oracles.
 
-Every registered kernel (1d, 2d, merge) is run on every matrix of the
-check corpora, over several thread counts — deliberately including
-counts larger than the row count — with a seeded random ``x`` vector,
-and compared against the dense NumPy oracle ``A @ x``.  A crash is a
-finding, not an abort: the suite keeps going and reports every broken
-cell.
+Every registered kernel (:data:`repro.spmv.registry.KERNELS`: 1d, 2d)
+is run on every matrix of the check corpora, over several thread
+counts — deliberately including counts larger than the row count —
+with a seeded random ``x`` vector, and compared against the dense
+NumPy oracle ``A @ x``.  A crash is a finding, not an abort: the suite
+keeps going and reports every broken cell.
 
 The workload kernels ride the same suite:
 
@@ -35,12 +35,10 @@ from ..matrix.build import csr_from_dense
 from ..obs.trace import span
 from ..solvers import iterative
 from ..spmv import kernels, products
+from ..spmv.registry import KERNELS
 from .findings import CheckReport
 
 SUITE = "kernels"
-
-#: every registered schedule kind the dispatcher accepts
-KERNEL_KINDS = ("1d", "2d", "merge")
 
 #: size caps keeping the dense oracles (O(n^2) memory, O(n^3) solve)
 #: affordable on the full check corpus
@@ -65,7 +63,7 @@ def check_kernels(matrices, nthreads=(1, 2, 3, 8),
         for i, (name, a) in enumerate(matrices):
             x = rng.standard_normal(a.ncols)
             oracle = a.to_dense() @ x
-            for kind in KERNEL_KINDS:
+            for kind in KERNELS:
                 for nt in nthreads:
                     subject = (f"matrix={name} kernel={kind} "
                                f"nthreads={nt}")
@@ -121,7 +119,7 @@ def _check_spmm(report: CheckReport, name: str, a, rng,
         return
     x = rng.standard_normal((a.ncols, SPMM_VECTORS))
     oracle = a.to_dense() @ x
-    for kind in KERNEL_KINDS:
+    for kind in KERNELS:
         for nt in nthreads:
             subject = (f"matrix={name} kernel=spmm:{kind} "
                        f"nthreads={nt}")

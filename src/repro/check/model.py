@@ -30,6 +30,7 @@ from ..machine import reuse as reuse_mod
 from ..machine.arch import get_architecture
 from ..matrix.csr import CSRMatrix
 from ..obs.trace import span
+from ..spmv.registry import KERNELS
 from ..spmv.schedule import get_schedule, schedule_1d, schedule_2d
 from .findings import CheckReport
 
@@ -111,7 +112,7 @@ def check_model_fastpath(matrices, architectures=CHECK_ARCHS) -> CheckReport:
             for arch in archs:
                 model = model_mod.PerfModel(arch)
                 reference = model_mod.PerfModel(arch, fastpath=False)
-                for kernel in ("1d", "2d"):
+                for kernel in KERNELS:
                     subject = (f"matrix={name} arch={arch.name} "
                                f"kernel={kernel}")
                     fast_schedule = get_schedule(a, kernel, arch.threads)

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import HarnessError
+from ..spmv.registry import KERNELS
 from .runner import SweepResult
 
 #: ordering column order used by the artifact files
@@ -149,7 +150,7 @@ def export_all_artifacts(sweep: SweepResult, corpus, architectures,
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for arch in architectures:
-        for kernel in ("1d", "2d"):
+        for kernel in KERNELS:
             path = out_dir / artifact_filename(
                 kernel, arch.name, arch.threads, len(corpus))
             write_artifact_file(sweep, corpus, kernel, arch.name, path)

@@ -38,6 +38,7 @@ from ..matrix import read_matrix_market, write_matrix_market
 from ..obs import get_logger, setup_cli_logging
 from ..obs import trace as obs_trace
 from ..reorder import ALL_ORDERINGS, compute_ordering
+from ..spmv.registry import KERNELS
 from ..util import format_table
 
 log = get_logger("cli")
@@ -113,7 +114,7 @@ def _cmd_advise(args) -> int:
         cache = OrderingCache(path=args.cache) if args.cache else None
         # sweep the requested workload next to the plain kernels so
         # the training set has rows at the queried feature level
-        kernels: tuple = ("1d", "2d")
+        kernels: tuple = KERNELS
         if workload != "spmv":
             spec = workload if args.kernel == "1d" \
                 else f"{workload}:{args.kernel}"
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(e.g. Freescale2)")
     p.add_argument("--arch", default="Milan B",
                    help="target Table 2 architecture")
-    p.add_argument("--kernel", default="1d", choices=("1d", "2d"))
+    p.add_argument("--kernel", default="1d", choices=KERNELS)
     p.add_argument("--workload", default="spmv",
                    choices=("spmv", "cg", "jacobi", "spgemm", "spmm"),
                    help="what runs per scheduled iteration (solver "
@@ -416,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated arch names (default: all 8)")
     p.add_argument("--orderings", default="",
                    help="comma-separated orderings (default: the six)")
-    p.add_argument("--kernels", default="1d,2d",
-                   help="comma-separated kernels (default: 1d,2d)")
+    p.add_argument("--kernels", default=",".join(KERNELS),
+                   help="comma-separated kernels (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (1 = run inline)")
     p.add_argument("--corpus", default=None,

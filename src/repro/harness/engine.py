@@ -78,7 +78,7 @@ from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
                          set_trace_context, span)
 from ..reorder.registry import check_ordering_names
-from ..spmv.registry import resolve_workload
+from ..spmv.registry import KERNELS, resolve_workload
 from ..spmv.schedule import get_schedules
 
 JOURNAL_VERSION = 1
@@ -682,7 +682,7 @@ class SweepEngine:
     """
 
     def __init__(self, corpus, architectures, orderings,
-                 kernels: tuple = ("1d", "2d"), cache=None,
+                 kernels: tuple = KERNELS, cache=None,
                  model_factory=None, seed=0, jobs: int = 1,
                  journal_path: str | None = None, resume: bool = False,
                  timeout: float | None = None, retries: int = 0,

@@ -358,6 +358,7 @@ def _builtin_model_eval(tier: str, seed: int) -> tuple:
     from ..machine import architecture_names, get_architecture
     from ..machine.bench import simulate_measurement
     from ..machine.model import PerfModel
+    from ..spmv.registry import KERNELS
 
     entry = build_corpus(tier, seed=seed)[0]
     t0 = time.perf_counter()
@@ -366,7 +367,7 @@ def _builtin_model_eval(tier: str, seed: int) -> tuple:
     for arch_name in architecture_names():
         arch = get_architecture(arch_name)
         model = PerfModel(arch)
-        for kernel in ("1d", "2d"):
+        for kernel in KERNELS:
             rec = simulate_measurement(entry.matrix, arch, kernel,
                                        entry.name, "original",
                                        model=model)

@@ -18,6 +18,7 @@ import json
 import os
 
 from ..obs.log import get_logger
+from ..spmv.registry import KERNELS
 
 log = get_logger("cli")
 
@@ -211,7 +212,7 @@ def add_serve_parsers(sub) -> None:
     p.add_argument("--arch", default=None,
                    help="architecture for every request (default: "
                         "the daemon's default)")
-    p.add_argument("--kernel", default="1d", choices=("1d", "2d"))
+    p.add_argument("--kernel", default="1d", choices=KERNELS)
     p.add_argument("--iterations", type=float, default=None)
     p.add_argument("--top", type=int, default=None)
     p.add_argument("--timeout", type=float, default=10.0,

@@ -8,10 +8,6 @@ Two shared-memory parallel kernels over CSR:
 * **2D algorithm** — matrix *nonzeros* split evenly; threads may own
   partial rows at their boundaries, handled with per-thread partial
   sums exactly like the paper's race-free implementation.
-* **merge-based** (:func:`schedule_merge`) — the full Merrill–Garland
-  split the paper's 2D kernel simplifies: the combined path of row
-  boundaries and nonzeros is split evenly, so row-loop overhead is
-  balanced too.
 
 This being a pure-Python reproduction, the kernels run as one
 vectorised pass whose result is bit-identical to executing the thread
@@ -22,20 +18,18 @@ wall clock.
 from .registry import (
     DEFAULT_KERNEL,
     DEFAULT_WORKLOAD,
-    KERNEL_KINDS,
     KERNELS,
     WORKLOADS,
     is_workload_spec,
     resolve_workload,
 )
-from .schedule import Schedule, schedule_1d, schedule_2d, schedule_merge
+from .schedule import Schedule, schedule_1d, schedule_2d
 from .kernels import spmv, spmv_1d, spmv_2d
 from .products import spgemm, spgemm_flops, spmm
 
 __all__ = [
     "DEFAULT_KERNEL",
     "DEFAULT_WORKLOAD",
-    "KERNEL_KINDS",
     "KERNELS",
     "WORKLOADS",
     "Schedule",
@@ -43,7 +37,6 @@ __all__ = [
     "resolve_workload",
     "schedule_1d",
     "schedule_2d",
-    "schedule_merge",
     "spgemm",
     "spgemm_flops",
     "spmm",

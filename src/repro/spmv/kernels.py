@@ -189,8 +189,8 @@ def _boundary_partials(a: CSRMatrix, x: np.ndarray,
 
 def _product(a: CSRMatrix, x: np.ndarray, schedule: Schedule) -> np.ndarray:
     """``A @ x`` under ``schedule``: the compiled row sums, then for
-    2D/merge the boundary rows restart from zero and add their
-    partials in thread order."""
+    2D the boundary rows restart from zero and add their partials in
+    thread order."""
     y = _operator(a) @ x
     if schedule.kind != "1d":
         plan = _boundary_plan(a, schedule)
@@ -211,13 +211,10 @@ def spmv_1d(a: CSRMatrix, x: np.ndarray, schedule: Schedule) -> np.ndarray:
 
 
 def spmv_2d(a: CSRMatrix, x: np.ndarray, schedule: Schedule) -> np.ndarray:
-    """y = A·x with a nonzero-split (2D) or merge-based schedule.
-
-    Both schedules allow partial rows at thread boundaries, so they
-    share the same race-free kernel structure."""
-    if schedule.kind not in ("2d", "merge"):
-        raise ScheduleError(
-            f"expected a 2d or merge schedule, got {schedule.kind!r}")
+    """y = A·x with the nonzero-split 2D schedule.  Partial rows at
+    thread boundaries are summed per thread and combined race-free."""
+    if schedule.kind != "2d":
+        raise ScheduleError(f"expected a 2d schedule, got {schedule.kind!r}")
     x = _check_x(a, x)
     _check_values(a)
     return _product(a, x, schedule)

@@ -116,7 +116,7 @@ def spmm(a: CSRMatrix, x: np.ndarray, kind: str = "1d",
 
     Runs as :func:`~repro.spmv.kernels.spmv_1d` / ``spmv_2d`` do: the
     compiled CSR product sums every row of every column in CSR order,
-    and for 2D/merge the boundary rows are combined from per-thread
+    and for 2D the boundary rows are combined from per-thread
     partial sums in thread order — each product is a length-``k`` row
     instead of a scalar.
     """

@@ -6,13 +6,11 @@ Before this module existed, ``serve/protocol.py`` and
 serve protocol and the featurizer silently disagreeing about what a
 valid request looks like.  Every layer now imports from here.
 
-Three vocabularies:
+Two vocabularies:
 
-* :data:`KERNELS` — the schedule kinds the *advisor* models (the
-  paper's 1D row split and 2D nonzero split).
-* :data:`KERNEL_KINDS` — every schedule kind the SpMV dispatcher
-  accepts (adds the merge-based split, which the advisor treats as a
-  2D variant and does not model separately).
+* :data:`KERNELS` — the schedule kinds: the paper's 1D row split and
+  2D nonzero split.  The SpMV dispatcher, the check suite, the sweep
+  and the advisor all accept exactly these.
 * :data:`WORKLOADS` — what is *executed per scheduled iteration*: a
   single SpMV (the paper's setting), a CG or Jacobi solver loop
   (hundreds of SpMVs on one reordered matrix), SpGEMM (A·A) or SpMM
@@ -29,11 +27,8 @@ from __future__ import annotations
 
 from ..errors import ScheduleError
 
-#: kernels the advisor/protocol accept (the paper's two algorithms)
+#: the schedule kinds (the paper's two algorithms)
 KERNELS = ("1d", "2d")
-
-#: every schedule kind the SpMV dispatcher accepts
-KERNEL_KINDS = ("1d", "2d", "merge")
 
 #: workloads the machine model can score on a scheduled matrix
 WORKLOADS = ("spmv", "cg", "jacobi", "spgemm", "spmm")
@@ -56,19 +51,19 @@ def resolve_workload(spec: str) -> tuple:
     if not isinstance(spec, str):
         raise ScheduleError(
             f"workload spec must be a string, got {type(spec).__name__}")
-    if spec in KERNEL_KINDS:
+    if spec in KERNELS:
         return DEFAULT_WORKLOAD, spec
     workload, _, kind = spec.partition(":")
     kind = kind or DEFAULT_KERNEL
     if workload not in WORKLOADS:
         raise ScheduleError(
             f"unknown kernel/workload spec {spec!r}; expected a kernel "
-            f"kind {KERNEL_KINDS}, a workload {WORKLOADS}, or "
+            f"kind {KERNELS}, a workload {WORKLOADS}, or "
             f"'workload:kind'")
-    if kind not in KERNEL_KINDS:
+    if kind not in KERNELS:
         raise ScheduleError(
             f"unknown schedule kind {kind!r} in spec {spec!r}; "
-            f"expected one of {KERNEL_KINDS}")
+            f"expected one of {KERNELS}")
     return workload, kind
 
 

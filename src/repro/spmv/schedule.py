@@ -10,6 +10,7 @@ from ..errors import ScheduleError
 from ..matrix.csr import CSRMatrix
 from ..obs.metrics import REGISTRY
 from ..util.validate import require
+from .registry import KERNELS
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,7 @@ class Schedule:
     Attributes
     ----------
     kind:
-        ``"1d"`` or ``"2d"``.
+        ``"1d"`` or ``"2d"`` (:data:`~repro.spmv.registry.KERNELS`).
     nthreads:
         Number of threads.
     entry_start:
@@ -40,6 +41,9 @@ class Schedule:
     row_start: np.ndarray
 
     def __post_init__(self) -> None:
+        require(self.kind in KERNELS, ScheduleError,
+                f"unknown kernel kind {self.kind!r}; expected one of "
+                f"{KERNELS}")
         require(self.nthreads >= 1, ScheduleError,
                 f"nthreads must be >= 1, got {self.nthreads}")
         es = np.asarray(self.entry_start, dtype=np.int64)
@@ -103,49 +107,13 @@ def schedule_1d(a: CSRMatrix, nthreads: int) -> Schedule:
                     entry_start=entry_start, row_start=bounds)
 
 
-def schedule_merge(a: CSRMatrix, nthreads: int) -> Schedule:
-    """Merge-based split (Merrill & Garland [PPoPP 2016], paper §3.1).
-
-    The paper's 2D kernel is "a simplified version of the merge-based
-    SpMV kernel": where 2D balances *nonzeros* only, merge-based
-    balances the combined merge path of row boundaries and nonzeros
-    (length ``nrows + nnz``), so threads with many empty/short rows get
-    proportionally fewer nonzeros.  Each thread's split point is found
-    by binary search on the merge-path diagonal.
-    """
-    if nthreads < 1:
-        raise ScheduleError(f"nthreads must be >= 1, got {nthreads}")
-    m, nnz = a.nrows, a.nnz
-    total = m + nnz
-    entry_start = np.zeros(nthreads + 1, dtype=np.int64)
-    row_start = np.zeros(nthreads + 1, dtype=np.int64)
-    rowptr = a.rowptr
-    for t in range(1, nthreads):
-        d = (t * total) // nthreads
-        lo, hi = max(0, d - nnz), min(d, m)
-        # consume a row-end (A-step) while rowptr[i+1] <= d-1-i
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if rowptr[mid + 1] <= d - 1 - mid:
-                lo = mid + 1
-            else:
-                hi = mid
-        row_start[t] = lo
-        entry_start[t] = d - lo
-    row_start[nthreads] = m
-    entry_start[nthreads] = nnz
-    return Schedule(kind="merge", nthreads=nthreads,
-                    entry_start=entry_start, row_start=row_start)
-
-
 _BUILDS = REGISTRY.counter("schedule.builds")
 _HITS = REGISTRY.counter("schedule.hits")
 
 
 def get_schedule(a: CSRMatrix, kind: str, nthreads: int) -> Schedule:
-    """Memoised :func:`schedule_1d` / :func:`schedule_2d` /
-    :func:`schedule_merge` per (matrix, kind, nthreads): the one-key
-    case of :func:`get_schedules`."""
+    """Memoised :func:`schedule_1d` / :func:`schedule_2d` per (matrix,
+    kind, nthreads): the one-key case of :func:`get_schedules`."""
     return get_schedules(a, [(kind, nthreads)])[0]
 
 
@@ -179,8 +147,7 @@ def get_schedules(a: CSRMatrix, keys) -> list:
 
 def build_schedules(a: CSRMatrix, keys) -> list:
     """The schedule of every ``(kind, nthreads)`` in ``keys``, built in
-    one call, bit-identical to :func:`schedule_1d`/:func:`schedule_2d`
-    (``"merge"`` keys are built by :func:`schedule_merge`).
+    one call, bit-identical to :func:`schedule_1d`/:func:`schedule_2d`.
 
     All the schedules' boundaries are computed as one concatenated
     array.  The equal splits repeat ``np.linspace(0, n, T + 1)``'s
@@ -192,25 +159,19 @@ def build_schedules(a: CSRMatrix, keys) -> list:
     place of a :class:`Schedule` constructor check per schedule.
     """
     keys = list(keys)
-    out: list = [None] * len(keys)
-    linear = []  # (position, is 1D, nthreads)
-    for i, (kind, nthreads) in enumerate(keys):
+    for kind, nthreads in keys:
         if kind not in _BUILDERS:
             raise ScheduleError(f"unknown kernel kind {kind!r}")
         if nthreads < 1:
             raise ScheduleError(f"nthreads must be >= 1, got {nthreads}")
-        if kind == "merge":
-            out[i] = schedule_merge(a, nthreads)
-        else:
-            linear.append((i, kind == "1d", int(nthreads)))
-    if not linear:
-        return out
-    seg_1d = np.array([is_1d for _, is_1d, _ in linear])
-    tcounts = np.array([nthreads for _, _, nthreads in linear])
+    if not keys:
+        return []
+    seg_1d = np.array([kind == "1d" for kind, _ in keys])
+    tcounts = np.array([int(nthreads) for _, nthreads in keys])
     n = np.where(seg_1d, a.nrows, a.nnz)
     ends = np.cumsum(tcounts + 1)
     starts = ends - tcounts - 1
-    seg = np.repeat(np.arange(len(linear)), tcounts + 1)
+    seg = np.repeat(np.arange(len(keys)), tcounts + 1)
     k = np.arange(ends[-1]) - starts[seg]
     splits = k * (n / tcounts)[seg]
     splits[ends - 1] = n
@@ -232,11 +193,10 @@ def build_schedules(a: CSRMatrix, keys) -> list:
             and min(d.min() for d in steps) >= 0,
             ScheduleError, "a batched schedule breaks the schedule "
             "invariants (first entry 0, non-decreasing ranges)")
-    for (i, is_1d, nthreads), lo, hi in zip(linear, starts.tolist(),
-                                            ends.tolist()):
-        out[i] = Schedule._trusted("1d" if is_1d else "2d", nthreads,
-                                   entry_start[lo:hi], row_start[lo:hi])
-    return out
+    return [Schedule._trusted(kind, nthreads, entry_start[lo:hi],
+                              row_start[lo:hi])
+            for (kind, _), nthreads, lo, hi
+            in zip(keys, tcounts.tolist(), starts.tolist(), ends.tolist())]
 
 
 def schedule_2d(a: CSRMatrix, nthreads: int) -> Schedule:
@@ -258,11 +218,11 @@ def schedule_2d(a: CSRMatrix, nthreads: int) -> Schedule:
                     entry_start=entry_start, row_start=row_start)
 
 
-_BUILDERS = {"1d": schedule_1d, "2d": schedule_2d, "merge": schedule_merge}
+_BUILDERS = {"1d": schedule_1d, "2d": schedule_2d}
 
 
 def build_schedule(a: CSRMatrix, kind: str, nthreads: int) -> Schedule:
-    """The ``kind`` (``"1d"``, ``"2d"`` or ``"merge"``) schedule."""
+    """The ``kind`` (``"1d"`` or ``"2d"``) schedule."""
     if kind not in _BUILDERS:
         raise ScheduleError(f"unknown kernel kind {kind!r}")
     return _BUILDERS[kind](a, nthreads)

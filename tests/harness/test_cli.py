@@ -106,6 +106,8 @@ def test_sweep_rejects_unknown_ordering_before_building_corpus(
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--kernels", "1d,3d", "unknown kernel/workload spec '3d'"),
+    ("--kernels", "1d,merge", "unknown kernel/workload spec 'merge'"),
+    ("--kernels", "cg:merge", "unknown schedule kind 'merge'"),
     ("--archs", "Rome,NOPE", "unknown architecture 'NOPE'"),
 ])
 def test_sweep_rejects_bad_grid_axis_before_building_corpus(

@@ -272,10 +272,13 @@ def test_unknown_kernel_rejected_before_any_cell(tiny_corpus, rome):
     with pytest.raises(ScheduleError, match="unknown kernel/workload "
                                             "spec '3d'"):
         SweepEngine(tiny_corpus[:1], rome, ["RCM"], kernels=("1d", "3d"))
+    with pytest.raises(ScheduleError, match="unknown kernel/workload "
+                                            "spec 'merge'"):
+        SweepEngine(tiny_corpus[:1], rome, ["RCM"], kernels=("merge",))
     with pytest.raises(ScheduleError, match="unknown schedule kind"):
         SweepEngine(tiny_corpus[:1], rome, ["RCM"], kernels=("cg:3d",))
     SweepEngine(tiny_corpus[:1], rome, ["RCM"],
-                kernels=("1d", "merge", "cg", "spmm:2d"))
+                kernels=("1d", "2d", "cg", "spmm:2d"))
 
 
 def test_raising_ordering_yields_failed_cells_not_a_crash(

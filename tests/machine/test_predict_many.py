@@ -189,7 +189,7 @@ def test_one_pass_over_a_mixed_batch_matches_per_cell_reference(variants):
             models = [(PerfModel, flags) for flags in variants_of_model] + [
                 (NumaModel, {"placement": p}) for p in PLACEMENTS]
             for cls, flags in models:
-                for kind in ("1d", "2d", "merge"):
+                for kind in ("1d", "2d"):
                     cells.append((a, cls(arch, **flags),
                                   get_schedule(a, kind, arch.threads)))
                     b = fresh_copy(a)

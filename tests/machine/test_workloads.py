@@ -109,11 +109,10 @@ def test_predict_workload_axis_shares_one_spmv_prediction(matrix,
 def test_simulate_measurement_workload_specs(matrix):
     base = simulate_measurement(matrix, ARCH, "1d", matrix_name="m")
     cg = simulate_measurement(matrix, ARCH, "cg", matrix_name="m")
-    merge = simulate_measurement(matrix, ARCH, "cg:merge",
-                                 matrix_name="m")
+    cg_2d = simulate_measurement(matrix, ARCH, "cg:2d", matrix_name="m")
     assert base.workload == "spmv"
     assert cg.workload == "cg" and cg.kernel == "cg"
-    assert merge.kernel == "cg:merge"
+    assert cg_2d.kernel == "cg:2d"
     assert cg.seconds > base.seconds
     assert cg.gflops_mean != base.gflops_mean
 

@@ -12,12 +12,11 @@ from repro.errors import ScheduleError
 from repro.generators import stencil_2d
 from repro.matrix.build import csr_from_dense
 from repro.matrix.csr import CSRMatrix
-from repro.spmv import spmv
+from repro.spmv import KERNELS, spmv
 from repro.spmv.products import spmm
 from repro.spmv.schedule import get_schedule
 
 SEED = 20260808
-KINDS = ("1d", "2d", "merge")
 
 
 def _zero_row_matrix():
@@ -28,7 +27,7 @@ def _zero_row_matrix():
     return csr_from_dense(dense)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KERNELS)
 @pytest.mark.parametrize("nthreads", (1, 4, 9))
 def test_zero_row_matrix_gives_zero_outputs(kind, nthreads):
     a = _zero_row_matrix()
@@ -39,14 +38,14 @@ def test_zero_row_matrix_gives_zero_outputs(kind, nthreads):
     assert y[1] == 0.0 and y[2] == 0.0 and y[4] == 0.0 and y[5] == 0.0
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KERNELS)
 def test_fully_empty_matrix(kind):
     a = csr_from_dense(np.zeros((5, 5)))
     y = spmv(a, np.ones(5), kind, 3)
     np.testing.assert_array_equal(y, np.zeros(5))
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KERNELS)
 def test_no_entries_gives_float64_zeros(kind):
     # an empty matrix must still give float64 zeros, or a later
     # y[row] += partial would truncate
@@ -60,7 +59,7 @@ def test_no_entries_gives_float64_zeros(kind):
     np.testing.assert_array_equal(block, np.zeros((4, 2)))
 
 
-@pytest.mark.parametrize("kind", ("2d", "merge"))
+@pytest.mark.parametrize("kind", ("2d",))
 def test_every_entry_a_boundary_entry(kind):
     s = stencil_2d(4, seed=0)
     # integer values keep every summation order exact
@@ -80,7 +79,7 @@ def test_every_entry_a_boundary_entry(kind):
     np.testing.assert_array_equal(block, a.to_dense() @ xb)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KERNELS)
 def test_all_zero_rhs_is_exactly_zero(kind):
     rng = np.random.default_rng(SEED)
     a = csr_from_dense(rng.random((7, 7)) * (rng.random((7, 7)) < 0.5))
@@ -88,7 +87,7 @@ def test_all_zero_rhs_is_exactly_zero(kind):
     np.testing.assert_array_equal(y, np.zeros(7))
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KERNELS)
 @pytest.mark.parametrize("shape", ((3, 7), (7, 3)))
 def test_rectangular_matrix_matches_dense(kind, shape):
     rng = np.random.default_rng(SEED)

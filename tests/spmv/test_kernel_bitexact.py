@@ -1,8 +1,8 @@
 """The single-pass kernels are bit-identical to a per-thread loop.
 
 The oracle below executes every simulated thread's entry range in
-turn: interior rows through ``np.add.at`` from zero, the 2D/merge
-boundary rows as per-thread ``.sum()`` partials added in thread order.
+turn: interior rows through ``np.add.at`` from zero, the 2D boundary
+rows as per-thread ``.sum()`` partials added in thread order.
 The production kernels must reproduce it bit for bit — ``allclose``
 elsewhere in the suite would not notice a changed summation order, and
 the outputs are compared as bytes, so neither would a changed sign of
@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from repro.generators import build_corpus, stencil_2d
 from repro.matrix.csr import CSRMatrix
 from repro.solvers import iterative
-from repro.spmv import spmv_1d, spmv_2d
+from repro.spmv import KERNELS, spmv_1d, spmv_2d
 from repro.spmv.products import spmm
 from repro.spmv.schedule import build_schedule, get_schedule
 
@@ -88,30 +88,30 @@ def small_corpus():
 
 
 @pytest.mark.parametrize("nthreads", THREADS)
-@pytest.mark.parametrize("kind", ("1d", "2d", "merge"))
+@pytest.mark.parametrize("kind", KERNELS)
 def test_spmv_bit_identical_to_per_thread_loop(corpus, kind, nthreads):
     _check_spmv(corpus, kind, nthreads)
 
 
 @pytest.mark.parametrize("nthreads", THREADS)
-@pytest.mark.parametrize("kind", ("1d", "2d", "merge"))
+@pytest.mark.parametrize("kind", KERNELS)
 def test_spmm_bit_identical_to_per_thread_loop(corpus, kind, nthreads):
     _check_spmm(corpus, kind, nthreads)
 
 
 @pytest.mark.parametrize("nthreads", THREADS)
-@pytest.mark.parametrize("kind", ("1d", "2d", "merge"))
+@pytest.mark.parametrize("kind", KERNELS)
 def test_spmv_bit_identical_on_the_small_tier(small_corpus, kind, nthreads):
     _check_spmv(small_corpus, kind, nthreads)
 
 
 @pytest.mark.parametrize("nthreads", THREADS)
-@pytest.mark.parametrize("kind", ("1d", "2d", "merge"))
+@pytest.mark.parametrize("kind", KERNELS)
 def test_spmm_bit_identical_on_the_small_tier(small_corpus, kind, nthreads):
     _check_spmm(small_corpus, kind, nthreads)
 
 
-@pytest.mark.parametrize("kind", ("2d", "merge"))
+@pytest.mark.parametrize("kind", ("2d",))
 def test_partials_keep_sum_order_at_every_span_length(kind):
     # values spread over 40 binary orders of magnitude make every
     # change of summation order visible in the low bits; sweeping the
@@ -131,7 +131,7 @@ def test_partials_keep_sum_order_at_every_span_length(kind):
                            _oracle(a, xb, sched))
 
 
-@pytest.mark.parametrize("kind", ("2d", "merge"))
+@pytest.mark.parametrize("kind", ("2d",))
 def test_zero_products_sum_to_positive_zero(kind):
     # x of signed zeros makes every product +-0.0, so each boundary
     # row's partials are zeros too: the fix-up must restart the row
@@ -158,7 +158,7 @@ def test_pickled_matrix_carries_no_compiled_operator(corpus):
     _assert_same_bytes(spmv_2d(b, x, get_schedule(b, "2d", 16)), y)
 
 
-@pytest.mark.parametrize("kind", ("1d", "2d", "merge"))
+@pytest.mark.parametrize("kind", KERNELS)
 def test_spmv_leaves_the_matrix_arrays_unchanged(kind):
     a = build_corpus("tiny", seed=3)[1].matrix
     before = [arr.tobytes() for arr in (a.rowptr, a.colidx, a.values)]
@@ -183,7 +183,7 @@ def _spd(a):
                      s.indices.astype(np.int64), s.data.copy())
 
 
-@pytest.mark.parametrize("kind", ("1d", "2d", "merge"))
+@pytest.mark.parametrize("kind", KERNELS)
 @pytest.mark.parametrize("solver", ("cg", "jacobi"))
 def test_solver_iterates_bit_identical(corpus, monkeypatch, solver, kind):
     systems = [_spd(a) for a in corpus

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ScheduleError
 from repro.matrix.build import csr_from_dense
 from repro.generators import fem_mesh_2d, stencil_2d
-from repro.spmv import spgemm, spgemm_flops, spmm
+from repro.spmv import KERNELS, spgemm, spgemm_flops, spmm
 
 SEED = 20260808
 
@@ -74,7 +74,7 @@ def test_spgemm_is_deterministic():
     np.testing.assert_array_equal(c1.rowptr, c2.rowptr)
 
 
-@pytest.mark.parametrize("kind", ("1d", "2d", "merge"))
+@pytest.mark.parametrize("kind", KERNELS)
 @pytest.mark.parametrize("nthreads", (1, 3, 8))
 @pytest.mark.parametrize("name,a", MATRICES, ids=IDS)
 def test_spmm_matches_dense_block_product(name, a, kind, nthreads):

@@ -6,7 +6,6 @@ from repro.errors import ScheduleError
 from repro.spmv.registry import (
     DEFAULT_KERNEL,
     DEFAULT_WORKLOAD,
-    KERNEL_KINDS,
     KERNELS,
     WORKLOADS,
     is_workload_spec,
@@ -16,7 +15,6 @@ from repro.spmv.registry import (
 
 def test_vocabulary():
     assert KERNELS == ("1d", "2d")
-    assert KERNEL_KINDS == ("1d", "2d", "merge")
     assert WORKLOADS == ("spmv", "cg", "jacobi", "spgemm", "spmm")
     assert DEFAULT_WORKLOAD == "spmv"
     assert DEFAULT_KERNEL == "1d"
@@ -25,18 +23,18 @@ def test_vocabulary():
 @pytest.mark.parametrize("spec,expected", [
     ("1d", ("spmv", "1d")),
     ("2d", ("spmv", "2d")),
-    ("merge", ("spmv", "merge")),
+    ("spmm:2d", ("spmm", "2d")),
     ("cg", ("cg", "1d")),
     ("spgemm", ("spgemm", "1d")),
     ("jacobi:2d", ("jacobi", "2d")),
-    ("cg:merge", ("cg", "merge")),
 ])
 def test_resolve_workload_grammar(spec, expected):
     assert resolve_workload(spec) == expected
 
 
 @pytest.mark.parametrize("spec", ["", "nope", "cg:3d", "spmv:xx",
-                                  "cg:jacobi", ":1d"])
+                                  "cg:jacobi", ":1d", "merge",
+                                  "cg:merge"])
 def test_resolve_workload_rejects_unknown_specs(spec):
     with pytest.raises(ScheduleError):
         resolve_workload(spec)
@@ -50,10 +48,12 @@ def test_is_workload_spec():
 
 
 def test_protocol_and_featurizer_share_the_registry():
-    # the satellite bugfix: one vocabulary, imported everywhere —
-    # the serving protocol and the advisor featurizer must not carry
-    # their own kernel tuples
+    # one vocabulary, imported everywhere — the serving protocol, the
+    # advisor featurizer and the check suite must not carry their own
+    # kernel tuples
     import importlib
+
+    from repro.check import kernels as check_kernels
 
     # importlib sidesteps the package attribute of the same name (the
     # re-exported featurize() function shadows the submodule)
@@ -64,3 +64,4 @@ def test_protocol_and_featurizer_share_the_registry():
     assert protocol.WORKLOADS is WORKLOADS
     assert featurize_mod.KERNELS is KERNELS
     assert featurize_mod.WORKLOADS is WORKLOADS
+    assert check_kernels.KERNELS is KERNELS

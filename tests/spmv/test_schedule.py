@@ -99,6 +99,19 @@ def test_schedule_validation():
                  row_start=np.array([0, 2]))
 
 
+@pytest.mark.parametrize("kind", ["merge", "3d"])
+def test_schedule_rejects_unknown_kind(rng, kind):
+    # a hand-built schedule of an unregistered kind must not reach the
+    # kernels or the performance model
+    from repro.spmv.schedule import Schedule
+
+    s = schedule_2d(random_csr(20, 80, rng), 4)
+    with pytest.raises(ScheduleError, match=f"unknown kernel kind "
+                                            f"'{kind}'"):
+        Schedule(kind=kind, nthreads=s.nthreads,
+                 entry_start=s.entry_start, row_start=s.row_start)
+
+
 def test_get_schedule_memoises_per_matrix(rng):
     from repro.obs.metrics import REGISTRY
     from repro.spmv.schedule import get_schedule

@@ -15,12 +15,12 @@ from repro.generators import build_corpus
 from repro.matrix.csr import CSRMatrix
 from repro.obs.metrics import REGISTRY
 from repro.spmv.schedule import (build_schedules, get_schedules,
-                                 schedule_1d, schedule_2d, schedule_merge)
+                                 schedule_1d, schedule_2d)
 
 from ..conftest import random_csr
 
 THREADS = range(1, 129)
-SINGLE = {"1d": schedule_1d, "2d": schedule_2d, "merge": schedule_merge}
+SINGLE = {"1d": schedule_1d, "2d": schedule_2d}
 
 
 def _edge_matrices():
@@ -53,13 +53,6 @@ def test_batched_build_matches_single_builders(matrices):
     for name, a in matrices:
         for (kind, t), got in zip(keys, build_schedules(a, keys)):
             _assert_same(got, SINGLE[kind](a, t))
-
-
-def test_merge_keys_mix_into_a_batch(rng):
-    a = random_csr(30, 120, rng)
-    keys = [("merge", 4), ("1d", 4), ("2d", 7), ("merge", 64)]
-    for (kind, t), got in zip(keys, build_schedules(a, keys)):
-        _assert_same(got, SINGLE[kind](a, t))
 
 
 def test_batched_build_rejects_bad_keys(rng):
