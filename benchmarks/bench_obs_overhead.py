@@ -1,26 +1,29 @@
 """Zero-cost-when-disabled gate for the observability layer.
 
-The obs instrumentation (spans on every reorder / reuse-stats /
-model-eval stage, registry counters on the statistics caches) sits on
-the sweep's hottest paths, so its *disabled* cost must be noise.
+The obs instrumentation (a stage on every storage / reorder /
+reuse-stats / model-eval step, spans around them, registry counters
+on the statistics caches) sits on the sweep's hottest paths, so its
+cost with tracing *disabled* must be noise.  A stage is never free —
+it always reads the clock into its registry histogram — so it is
+counted at that always-on cost.
 
 Like ``bench_model_fastpath``, the hard gate is **deterministic**, not
 a wall-clock A/B (CI machines are noisy; an inline tiny sweep has a
 ~±5 % run-to-run floor that would flake a 5 % gate):
 
 1. one instrumented sweep run is executed with *counting* wrappers
-   around ``span(...)`` and ``Counter.inc`` to learn exactly how many
-   instrumentation calls the workload makes;
+   around ``span(...)``, ``stage(...)`` and ``Counter.inc`` to learn
+   exactly how many instrumentation calls the workload makes;
 2. tight-loop microbenchmarks measure the per-call cost of the
-   disabled span fast path and a counter increment (these are stable
-   to a few ns);
+   disabled span fast path, of an untraced stage and of a counter
+   increment (these are stable to a few ns);
 3. the gate asserts ``calls x per-call cost < 5 %`` of the workload's
    wall time.  If tracing were ever accidentally left enabled by
    default, step 2 would measure the ~10x dearer enabled path and
    blow the gate.
 
 A median-of-interleaved-rounds A/B (instrumented vs a no-obs build
-with ``span``/``Counter.inc`` monkeypatched away; in each round each
+with ``span``/``stage``/``Counter.inc`` monkeypatched away; in each round each
 arm repeats the sweep over fresh corpus copies for
 :data:`MACRO_CPU_SECONDS` of CPU) is still measured and reported in
 ``benchmarks/output/<tier>/bench_obs_overhead.json`` as end-to-end
@@ -85,7 +88,7 @@ def _run_workload(corpus) -> float:
 # ----------------------------------------------------------------------
 # instrumentation stubs & call counting
 # ----------------------------------------------------------------------
-def _patch_obs(span_fn, inc_fn):
+def _patch_obs(span_fn, stage_fn, inc_fn):
     """Swap the obs hot-path hooks; returns an undo callable."""
     from repro.harness import engine as engine_mod
     from repro.reorder import registry as registry_mod
@@ -94,11 +97,15 @@ def _patch_obs(span_fn, inc_fn):
         (trace_mod, "span", trace_mod.span),
         (registry_mod, "span", registry_mod.span),
         (engine_mod, "span", engine_mod.span),
+        (trace_mod, "stage", trace_mod.stage),
+        (engine_mod, "stage", engine_mod.stage),
         (metrics_mod.Counter, "inc", metrics_mod.Counter.inc),
     ]
     trace_mod.span = span_fn
     registry_mod.span = span_fn
     engine_mod.span = span_fn
+    trace_mod.stage = stage_fn
+    engine_mod.stage = stage_fn
     metrics_mod.Counter.inc = inc_fn
 
     def undo() -> None:
@@ -109,19 +116,24 @@ def _patch_obs(span_fn, inc_fn):
 
 
 def _count_instrumentation_calls(corpus) -> dict:
-    """How many span()/inc() calls one workload run makes."""
-    calls = {"span": 0, "inc": 0}
-    real_span, real_inc = trace_mod.span, metrics_mod.Counter.inc
+    """How many span()/stage()/inc() calls one workload run makes."""
+    calls = {"span": 0, "stage": 0, "inc": 0}
+    real_span, real_stage = trace_mod.span, trace_mod.stage
+    real_inc = metrics_mod.Counter.inc
 
     def counting_span(name, **args):
         calls["span"] += 1
         return real_span(name, **args)
 
+    def counting_stage(name, **args):
+        calls["stage"] += 1
+        return real_stage(name, **args)
+
     def counting_inc(self, n=1):
         calls["inc"] += 1
         return real_inc(self, n)
 
-    undo = _patch_obs(counting_span, counting_inc)
+    undo = _patch_obs(counting_span, counting_stage, counting_inc)
     try:
         _run_workload(corpus)
     finally:
@@ -149,7 +161,8 @@ def _median_interleaved(corpus) -> tuple:
             if arm == 0:
                 instrumented.append(_sweep_for(corpus, MACRO_CPU_SECONDS))
             else:
-                undo = _patch_obs(_null_span, lambda self, n=1: None)
+                undo = _patch_obs(_null_span, _null_span,
+                                  lambda self, n=1: None)
                 try:
                     baseline.append(_sweep_for(corpus, MACRO_CPU_SECONDS))
                 finally:
@@ -171,7 +184,8 @@ def test_disabled_tracing_overhead_under_gate(emit, emit_json):
 
     # -- deterministic gate: calls x per-call cost vs workload time ----
     calls = _count_instrumentation_calls(corpora.pop())
-    assert calls["span"] > 0 and calls["inc"] > 0, \
+    assert calls["span"] > 0 and calls["stage"] > 0 \
+        and calls["inc"] > 0, \
         "the workload no longer exercises the instrumentation"
     workload_s = statistics.median(
         _run_workload(corpora.pop()) for _ in range(3))
@@ -183,6 +197,12 @@ def test_disabled_tracing_overhead_under_gate(emit, emit_json):
             pass
     disabled_span_ns = (time.perf_counter() - t0) / n * 1e9
 
+    t0 = time.perf_counter()
+    for _ in range(n):
+        with trace_mod.stage("micro", a=1):
+            pass
+    stage_ns = (time.perf_counter() - t0) / n * 1e9
+
     counter = metrics_mod.MetricsRegistry().counter("micro")
     t0 = time.perf_counter()
     for _ in range(n):
@@ -190,11 +210,13 @@ def test_disabled_tracing_overhead_under_gate(emit, emit_json):
     counter_inc_ns = (time.perf_counter() - t0) / n * 1e9
 
     overhead_s = (calls["span"] * disabled_span_ns
+                  + calls["stage"] * stage_ns
                   + calls["inc"] * counter_inc_ns) / 1e9
     overhead = overhead_s / workload_s
     assert overhead < OVERHEAD_GATE, \
         (f"disabled instrumentation costs {overhead:.2%} of the sweep "
          f"({calls['span']} spans x {disabled_span_ns:.0f}ns + "
+         f"{calls['stage']} stages x {stage_ns:.0f}ns + "
          f"{calls['inc']} incs x {counter_inc_ns:.0f}ns over "
          f"{workload_s * 1e3:.1f}ms); gate is {OVERHEAD_GATE:.0%}")
 
@@ -218,10 +240,12 @@ def test_disabled_tracing_overhead_under_gate(emit, emit_json):
         "seed": SEED,
         "matrices": MATRICES,
         "span_calls": calls["span"],
+        "stage_calls": calls["stage"],
         "counter_incs": calls["inc"],
         "workload_seconds": round(workload_s, 5),
         "disabled_span_ns": round(disabled_span_ns, 1),
         "enabled_span_ns": round(enabled_span_ns, 1),
+        "stage_ns": round(stage_ns, 1),
         "counter_inc_ns": round(counter_inc_ns, 1),
         "overhead_fraction": round(overhead, 6),
         "gate_fraction": OVERHEAD_GATE,

@@ -184,9 +184,10 @@ def test_sigkill_resume_zero_regeneration(gated_sweep, xl_snapshot):
     the snapshot is reattached with zero regeneration."""
     journal = STORAGE_DIR / "xl_killed.jsonl"
     journal.unlink(missing_ok=True)
+    # no metrics or manifest: they would land in the working directory
     cmd = [sys.executable, "-m", "repro", "sweep",
            "--corpus", str(XL_DIR)] + SWEEP_ARGS + \
-          ["--journal", str(journal)]
+          ["--journal", str(journal), "--metrics", "", "--manifest", ""]
     proc = subprocess.Popen(cmd, env=_env(), start_new_session=True,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)

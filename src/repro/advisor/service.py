@@ -19,20 +19,19 @@ caches are lock-guarded, so concurrent callers are safe too.
 
 from __future__ import annotations
 
-import time
-
 from ..errors import AdvisorError
 from ..machine.arch import Architecture
 from ..matrix.csr import CSRMatrix
 from ..obs.metrics import REGISTRY
-from ..obs.trace import span
+from ..obs.trace import stage
 from ..spmv.registry import DEFAULT_WORKLOAD
 from .cache import LRUCache
 from .featurize import assemble, matrix_features
 from .model import AdvisorModel
 
 #: per-request serving metrics (process-global, shared across Advisor
-#: instances — a serving process runs one advisor).
+#: instances — a serving process runs one advisor); the latency
+#: histogram is the one the ``advisor.request`` stage observes into.
 _REQUESTS = REGISTRY.counter("advisor.requests")
 _LATENCY = REGISTRY.histogram("advisor.request_seconds")
 
@@ -70,12 +69,11 @@ class Advisor:
         iteration (:data:`repro.spmv.registry.WORKLOADS`); the default
         keeps the historical plain-SpMV behaviour and cache keys.
         """
-        t0 = time.perf_counter()
         budget = self.iterations if iterations is None else iterations
         mkey = self._matrix_key(a, matrix_name)
         akey = f"{mkey}__{arch.name}__{kernel}__{budget}__{workload}"
-        with span("advisor.request", matrix=matrix_name or mkey,
-                  arch=arch.name, kernel=kernel, workload=workload):
+        with stage("advisor.request", matrix=matrix_name or mkey,
+                   arch=arch.name, kernel=kernel, workload=workload):
             cached = self._advice.get(akey)
             if cached is None:
                 mf = self._features.get_or_compute(
@@ -86,7 +84,6 @@ class Advisor:
                     iterations=budget)
                 self._advice.put(akey, cached)
         _REQUESTS.inc()
-        _LATENCY.observe(time.perf_counter() - t0)
         return cached[:top] if top is not None else list(cached)
 
     def close(self) -> None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from ..features import bandwidth, offdiagonal_nonzeros, profile
 from ..generators import build_corpus
@@ -99,35 +100,19 @@ def _resolve_advise_input(spec: str, scale: float, seed):
 
 
 def _cmd_advise(args) -> int:
-    from ..advisor import Advisor, AdvisorModel, train_model
-    from .runner import OrderingCache
+    from ..advisor import Advisor
+    from ..serve.cli import load_or_train_model
 
     a, name = _resolve_advise_input(args.input, args.scale, args.seed)
     arch = get_architecture(args.arch)
-    orderings = args.orderings.split(",") if args.orderings else None
     workload = getattr(args, "workload", "spmv")
-    if args.model and os.path.exists(args.model):
-        model = AdvisorModel.load(args.model)
-        print(f"loaded model from {args.model} "
-              f"({model.trained_on.get('rows', '?')} training rows)")
-    else:
-        cache = OrderingCache(path=args.cache) if args.cache else None
-        # sweep the requested workload next to the plain kernels so
-        # the training set has rows at the queried feature level
-        kernels: tuple = KERNELS
-        if workload != "spmv":
-            spec = workload if args.kernel == "1d" \
-                else f"{workload}:{args.kernel}"
-            kernels = kernels + (spec,)
-        model = train_model(tier=args.train_tier, architectures=[arch],
-                            orderings=orderings, kernels=kernels,
-                            cache=cache, seed=args.seed,
-                            limit=args.train_limit)
-        print(f"trained on {model.trained_on['rows']} rows "
-              f"({args.train_tier} tier, {arch.name})")
-        if args.model:
-            model.save(args.model)
-            print(f"saved model to {args.model}")
+    # train on the requested workload next to the plain kernels so the
+    # training set has rows at the queried feature level
+    kernels: tuple = KERNELS
+    if workload != "spmv":
+        kernels += (workload if args.kernel == "1d"
+                    else f"{workload}:{args.kernel}",)
+    model = load_or_train_model(args, kernels, print)
     advisor = Advisor(model, iterations=args.iterations)
     advice = advisor.advise(a, arch, kernel=args.kernel, matrix_name=name,
                             top=args.top, workload=workload)
@@ -166,8 +151,6 @@ def _progress_printer(min_interval=0.5):
     is journal backfill, not throughput, and dividing it by elapsed
     time would promise an absurdly optimistic ETA.
     """
-    import time
-
     state = {"last": None, "resumed": None}
 
     def cb(done, total, failed, elapsed) -> None:
@@ -214,7 +197,6 @@ def _cmd_sweep(args) -> int:
                           ScheduleError)
     from ..reorder.registry import check_ordering_names
     from ..spmv.registry import resolve_workload
-    from ..util.timing import Timer
     from .engine import SweepEngine
     from .experiments import REORDERINGS, experiment_speedups
     from .report import (render_boxplot_figure, render_geomean_table,
@@ -235,18 +217,19 @@ def _cmd_sweep(args) -> int:
         log.error("sweep: %s", exc)
         return 2
     snapshot = None
-    with Timer() as t_gen:
-        if args.corpus:
-            from ..storage import open_corpus_snapshot
+    t0 = time.perf_counter()
+    if args.corpus:
+        from ..storage import open_corpus_snapshot
 
-            snapshot = open_corpus_snapshot(args.corpus)
-            corpus = list(snapshot.entries)
-            log.info("attached snapshot %s (%d matrices, signature %s)",
-                     args.corpus, len(corpus), snapshot.signature)
-        else:
-            corpus = build_corpus(args.tier, seed=args.seed)
-        if args.limit:
-            corpus = corpus[:args.limit]
+        snapshot = open_corpus_snapshot(args.corpus)
+        corpus = list(snapshot.entries)
+        log.info("attached snapshot %s (%d matrices, signature %s)",
+                 args.corpus, len(corpus), snapshot.signature)
+    else:
+        corpus = build_corpus(args.tier, seed=args.seed)
+    if args.limit:
+        corpus = corpus[:args.limit]
+    generate_seconds = time.perf_counter() - t0
     if args.trace:
         # stream every finished span to a sidecar JSONL next to the
         # final Chrome trace so a killed run still leaves evidence;
@@ -262,7 +245,7 @@ def _cmd_sweep(args) -> int:
         manifest_path=args.manifest or None,
         progress=_progress_printer() if args.progress else None)
     sweep = engine.run()
-    engine.metrics.stages["generate"] = t_gen.elapsed
+    engine.metrics.stages["generate"] = generate_seconds
     if args.trace:
         nevents = obs_trace.TRACER.save(args.trace)
         obs_trace.disable()

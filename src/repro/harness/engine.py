@@ -21,10 +21,13 @@ kernel) grid; :class:`SweepEngine` executes that grid
   structured :class:`FailedCell` and the sweep keeps going.
 
 Observability is threaded through the run via :mod:`repro.obs`:
-every stage runs under a **span** (``reorder`` and ``reuse_stats`` per
+every stage runs under a **stage** (:func:`repro.obs.stage`:
+``storage`` per matrix, ``reorder`` and ``reuse_stats`` per
 ordering, ``model_eval`` per grid pass, nested inside one
-``sweep.task`` span per matrix), workers ship their buffered trace
-events and a **metrics-registry delta** back with each task outcome,
+``sweep.task`` span per matrix), which times it into the registry's
+``<stage>_seconds`` histogram and, when tracing is on, records its
+span.  Workers ship their buffered trace events and a
+**metrics-registry delta** back with each task outcome,
 and the engine merges both — spans into the global tracer (one
 Perfetto lane per worker pid), deltas into a run-local
 :class:`~repro.obs.metrics.MetricsRegistry`.  Because each worker
@@ -32,7 +35,8 @@ reports only the work it did, and only when a task *finishes*, a
 worker that dies mid-chunk loses its own partial counts but can never
 corrupt or double-count the engine's: its cells are recomputed and
 counted exactly once by whoever completes them.  The aggregate —
-per-stage wall-clock timings, cache hit rates, model-statistics reuse
+per-stage wall-clock seconds (read from the merged stage
+histograms), cache hit rates, model-statistics reuse
 counters, worker utilization, cell counts and the full registry
 snapshot — serialises to ``sweep_metrics.json``
 (:class:`SweepMetrics` is a thin view over the registry), and a
@@ -76,7 +80,7 @@ from ..obs import cachestats
 from ..obs import manifest as _manifest
 from ..obs.metrics import REGISTRY, MetricsRegistry
 from ..obs.trace import (TRACER, clear_trace_context, new_span_id,
-                         set_trace_context, span)
+                         set_trace_context, span, stage)
 from ..reorder.registry import check_ordering_names
 from ..spmv.registry import KERNELS, resolve_workload
 from ..spmv.schedule import get_schedules
@@ -85,6 +89,9 @@ JOURNAL_VERSION = 1
 #: summed entries of the cells one grid pass may hold; the pending
 #: batch of a matrix task is scored early rather than grow past it
 GRID_PASS_ENTRIES = 1 << 22
+#: the stages a matrix task runs, each timed by :func:`repro.obs.stage`
+#: into the registry entry ``<stage>_seconds``
+SWEEP_STAGES = ("storage", "reorder", "reuse_stats", "model_eval")
 
 class CellTimeout(HarnessError):
     """A sweep cell exceeded its wall-clock budget."""
@@ -281,15 +288,17 @@ class SweepMetrics:
     Since the obs layer landed this is a thin *view*: ``registry`` is
     populated from the engine's run-local
     :class:`~repro.obs.metrics.MetricsRegistry` (the merge of every
-    worker's shipped delta), not from hand-maintained dicts.
+    worker's shipped delta), not from hand-maintained dicts, and
+    ``stages`` holds the ``sum`` of each ``<stage>_seconds`` entry of
+    it (0.0 for a stage that never ran) — except ``generate``, the
+    corpus build before the engine starts, which the CLI sets.
     """
 
     jobs: int = 1
     wall_seconds: float = 0.0
     run_id: str | None = None
-    stages: dict = field(default_factory=lambda: {
-        "generate": 0.0, "storage": 0.0, "reorder": 0.0,
-        "reuse_stats": 0.0, "model_eval": 0.0})
+    stages: dict = field(default_factory=lambda: dict.fromkeys(
+        ("generate",) + SWEEP_STAGES, 0.0))
     cache: dict = field(default_factory=dict)
     cells: dict = field(default_factory=lambda: {
         "total": 0, "completed": 0, "resumed": 0, "failed": 0,
@@ -331,7 +340,6 @@ class _TaskSpec:
 class _TaskOutcome:
     records: list                # [(cell, MeasurementRecord), ...]
     failures: list               # [FailedCell, ...]
-    timings: dict                # stage -> seconds
     cache_stats: dict
     registry_delta: dict         # MetricsRegistry.delta_since payload
     trace_events: list           # buffered spans (empty when disabled)
@@ -382,19 +390,6 @@ def _pool_run(task: _TaskSpec) -> _TaskOutcome:
     return _run_matrix_task(task, _WORKER_CONFIG)
 
 
-def _resolve_task_matrix(task: _TaskSpec, timings: dict):
-    """Materialise the task's matrix, timed into the ``storage`` stage.
-
-    Free for in-RAM entries; a snapshot-backed entry memmaps its arrays
-    through the per-process attach memo (zero-copy, read-only).
-    """
-    t0 = time.perf_counter()
-    with span("storage", matrix=task.entry.name):
-        a = task.entry.matrix
-    timings["storage"] += time.perf_counter() - t0
-    return a
-
-
 def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                      cache=None) -> _TaskOutcome:
     """Compute every pending cell of one matrix.
@@ -424,9 +419,10 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
     entry = task.entry
     records: list = []
     failures: list = []
-    timings = {"storage": 0.0, "reorder": 0.0, "reuse_stats": 0.0,
-               "model_eval": 0.0}
-    a = _resolve_task_matrix(task, timings)
+    # free for an in-RAM entry; a snapshot-backed one memmaps its
+    # arrays through the per-process attach memo (zero-copy, read-only)
+    with stage("storage", matrix=entry.name):
+        a = entry.matrix
     retried = 0
     models = [(arch, factory(arch)) for arch in config.architectures]
     #: cells waiting for the grid pass: (matrix, ordering, arch, model,
@@ -446,9 +442,9 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
         t0 = time.perf_counter()
         try:
             with _deadline(config.timeout), \
-                    span("model_eval", matrix=entry.name,
-                         ordering=ordering_name, kernel=kernel,
-                         arch=arch.name):
+                    stage("model_eval", matrix=entry.name,
+                          ordering=ordering_name, kernel=kernel,
+                          arch=arch.name):
                 return simulate_measurement(
                     matrix, arch, kernel, entry.name, ordering_name,
                     model=model)
@@ -507,15 +503,14 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
         cells = batch[:]
         batch.clear()
         batch_entries = 0
-        t0 = time.perf_counter()
         out: dict = {}
         fast = sum(model.fastpath for _, _, _, model, _ in cells)
         if fast:
             budget = config.timeout * fast if config.timeout else None
             try:
-                with _deadline(budget), span("model_eval",
-                                             matrix=entry.name,
-                                             cells=fast):
+                with _deadline(budget), stage("model_eval",
+                                              matrix=entry.name,
+                                              cells=fast):
                     score(cells, out)
             except Exception:  # noqa: BLE001 - the per-cell path decides
                 pass
@@ -526,7 +521,6 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
             else:
                 records.append(((entry.name, cell[1], cell[4],
                                  cell[2].name), result))
-        timings["model_eval"] += time.perf_counter() - t0
 
     def enqueue(matrix, ordering_name, group) -> None:
         """Queue every pending (arch, kernel) cell of one reordered
@@ -543,12 +537,10 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
         hot_lines = sorted({arch.line_size // 8
                             for arch, model, _ in wanted
                             if model.locality_term})
-        t0 = time.perf_counter()
-        with span("reuse_stats", matrix=entry.name,
-                  ordering=ordering_name):
+        with stage("reuse_stats", matrix=entry.name,
+                   ordering=ordering_name):
             ReuseStats.for_matrix(matrix).prepare(
                 hot_lines if matrix.nnz else ())
-        timings["reuse_stats"] += time.perf_counter() - t0
         for arch, model, kernel in wanted:
             if batch and batch_entries + matrix.nnz > GRID_PASS_ENTRIES:
                 flush()
@@ -577,8 +569,8 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                     attempts = attempt + 1
                     try:
                         with _deadline(config.timeout), \
-                                span("reorder", matrix=entry.name,
-                                     algo=name, attempt=attempts):
+                                stage("reorder", matrix=entry.name,
+                                      algo=name, attempt=attempts):
                             permuted = cache.get(
                                 a, entry.name, name,
                                 nparts=group[0][0].gp_parts,
@@ -588,7 +580,6 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
                         error = exc
                         if attempt < config.retries:
                             retried += 1
-                timings["reorder"] += time.perf_counter() - t0
                 if permuted is None:
                     for cell in group_cells:
                         if cell not in task.pending:
@@ -612,8 +603,7 @@ def _run_matrix_task(task: _TaskSpec, config: _EngineConfig,
              for k in ("hits", "disk_hits", "misses", "requests",
                        "evictions", "size_bytes", "mapped_bytes")}
     return _TaskOutcome(
-        records=records, failures=failures, timings=timings,
-        cache_stats=delta,
+        records=records, failures=failures, cache_stats=delta,
         registry_delta=REGISTRY.delta_since(registry_before),
         trace_events=TRACER.drain() if config.trace else [],
         retried=retried,
@@ -856,9 +846,6 @@ class SweepEngine:
                 if journal is not None:
                     journal.append_failure(failure)
             done_cells += len(outcome.records) + len(outcome.failures)
-            for stage, secs in outcome.timings.items():
-                self.metrics.stages[stage] = (
-                    self.metrics.stages.get(stage, 0.0) + secs)
             self.metrics.cells["retried"] += outcome.retried
             self._merge_cache_stats(outcome.cache_stats)
             # delta-merge the worker's registry: each outcome reports
@@ -907,6 +894,9 @@ class SweepEngine:
             sum(busy.values()) / denom if denom > 0 else 0.0)
         # the metrics artifact is a view over the merged registry
         self.metrics.registry = self.registry.snapshot()
+        for name in SWEEP_STAGES:
+            seconds = self.metrics.registry.get(f"{name}_seconds")
+            self.metrics.stages[name] = seconds["sum"] if seconds else 0.0
 
         result = SweepResult(failed=failures)
         for cell in all_cells:

@@ -24,7 +24,6 @@ from ..machine.model import PerfModel
 from ..matrix.dense import tall_skinny_dense_csr
 from ..reorder import ALL_ORDERINGS
 from ..spmv.schedule import schedule_1d
-from ..util.timing import Timer
 from .runner import OrderingCache, SweepResult
 
 REORDERINGS = tuple(o for o in ALL_ORDERINGS if o != "original")
@@ -309,9 +308,8 @@ def experiment_overhead(scale: float = 1.0, seed=0,
         a = entry.matrix
         row = [name]
         for o in ("RCM", "AMD", "ND", "GP", "HP", "Gray"):
-            with Timer() as t:
-                compute_ordering(a, o, nparts=arch.gp_parts, seed=seed)
-            row.append(t.elapsed)
+            row.append(compute_ordering(a, o, nparts=arch.gp_parts,
+                                        seed=seed).seconds)
         pred = model.predict(a, schedule_1d(a, arch.threads))
         row.append(pred.seconds)
         rows.append(row)

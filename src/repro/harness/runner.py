@@ -114,6 +114,9 @@ class OrderingCache:
     def __init__(self, path: str | None = None) -> None:
         self.path = path
         self._memory: dict = {}
+        #: bytes of every permutation in ``_memory``, kept as entries
+        #: arrive so ``stats`` never walks the cache
+        self._resident = 0
         self._hits = 0
         self._disk_hits = 0
         self._misses = 0
@@ -130,24 +133,17 @@ class OrderingCache:
         zero-access guard lives in
         :func:`repro.obs.cachestats.cache_stats`, once, for every cache.
 
-        A permutation backed by an ``np.memmap`` (a view over a stored
-        snapshot) is disk-backed page cache, not private heap, so its
-        bytes land in ``mapped_bytes`` rather than ``size_bytes`` —
-        counting it as resident would double-bill memory the OS can
-        reclaim at will.
+        Every cached permutation is a private heap copy (a disk entry
+        is read into bytes, and :class:`OrderingResult` copies its
+        permutation), so all of it is ``size_bytes`` and
+        ``mapped_bytes`` is 0.  Both are O(1): the resident count is
+        kept as entries arrive.
         """
         total = self._hits + self._disk_hits + self._misses
-        resident = 0
-        mapped = 0
-        for r in self._memory.values():
-            m = cachestats.mapped_nbytes(r.perm)
-            mapped += m
-            if not m:
-                resident += r.perm.nbytes
         stats = cachestats.cache_stats(
             hits=self._hits + self._disk_hits, misses=self._misses,
             evictions=0,             # unbounded: nothing is ever dropped
-            size_bytes=resident, mapped_bytes=mapped,
+            size_bytes=self._resident,
             disk_hits=self._disk_hits, requests=total)
         stats["hits"] = self._hits
         return stats
@@ -188,12 +184,17 @@ class OrderingCache:
             result = self._load(os.path.join(self.path, key + ENTRY_SUFFIX),
                                 a.nrows, ordering)
             if result is not None:
-                self._memory[key] = result
+                self._keep(key, result)
                 self._disk_hits += 1
                 return result
         self._misses += 1
         result = compute_ordering(a, ordering, nparts=nparts, seed=seed)
         return self._store(key, result)
+
+    def _keep(self, key: str, result: OrderingResult) -> None:
+        """Hold ``result`` under a new ``key``, counting its bytes."""
+        self._memory[key] = result
+        self._resident += result.perm.nbytes
 
     @staticmethod
     def _load(f: str, nrows: int, ordering: str) -> OrderingResult | None:
@@ -209,7 +210,7 @@ class OrderingCache:
         return decode_entry(data, nrows, ordering)
 
     def _store(self, key: str, result: OrderingResult) -> OrderingResult:
-        self._memory[key] = result
+        self._keep(key, result)
         if self.path is not None:
             # write-then-rename: a killed writer leaves a stray temp
             # file, never a torn entry

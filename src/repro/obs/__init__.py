@@ -7,6 +7,9 @@ shares:
   that serialises to Chrome trace-event JSON (open ``trace.json`` in
   Perfetto or ``chrome://tracing``) and an append-only JSONL log.
   Disabled by default; the disabled path is a no-op fast path.
+* :func:`stage` — a span whose elapsed seconds always land in the
+  registry's ``<name>_seconds`` histogram, traced or not: the one
+  clock of each sweep stage and of ``advisor.request``.
 * :class:`MetricsRegistry` / :data:`REGISTRY` — Counter / Gauge /
   Histogram metrics with a snapshot → delta → merge protocol that the
   sweep engine uses to aggregate worker registries exactly once.
@@ -37,7 +40,8 @@ from .metrics import (REGISTRY, Counter, Gauge, Histogram, MetricsRegistry,
 from .perf import (BenchLedger, bench_record, compare_ledgers,
                    compare_records, metric, run_builtin_bench)
 from .profiler import ProfilerError, SamplingProfiler
-from .trace import TRACER, Tracer, disable, enable, is_enabled, span
+from .trace import (TRACER, Tracer, disable, enable, is_enabled, span,
+                    stage)
 
 __all__ = [
     "CACHE_STATS_KEYS", "cache_stats", "sizeof_value", "get_logger",
@@ -46,4 +50,5 @@ __all__ = [
     "BenchLedger", "bench_record", "compare_ledgers", "compare_records",
     "metric", "run_builtin_bench", "ProfilerError", "SamplingProfiler",
     "TRACER", "Tracer", "disable", "enable", "is_enabled", "span",
+    "stage",
 ]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import threading
 
 __all__ = [
@@ -64,6 +65,7 @@ class Counter:
     """A monotonically increasing integer metric."""
 
     __slots__ = ("name", "_value", "_lock")
+    kind = "counter"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -88,6 +90,7 @@ class Gauge:
     """A last-write-wins scalar metric."""
 
     __slots__ = ("name", "_value", "_lock")
+    kind = "gauge"
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -121,6 +124,7 @@ class Histogram:
 
     __slots__ = ("name", "bounds", "_counts", "_sum", "_count", "_max",
                  "_lock")
+    kind = "histogram"
 
     def __init__(self, name: str, bounds=None) -> None:
         self.name = name
@@ -277,32 +281,40 @@ class MetricsRegistry:
 
         Counters and histograms subtract; gauges report their current
         value (a gauge is a level, not a flow).  Metrics absent from
-        ``before`` report their full current state.
+        ``before`` report their full current state.  A counter or
+        histogram that did not move is left out without being
+        snapshotted, so a delta costs what changed, not what exists.
         """
-        now = self.snapshot()
+        with self._lock:
+            metrics = list(self._metrics.items())
         delta = {}
-        for name, cur in now.items():
+        for name, metric in metrics:
             old = before.get(name)
-            if old is None or old.get("type") != cur["type"]:
-                entry = dict(cur)
-            elif cur["type"] == "counter":
-                entry = {"type": "counter",
-                         "value": cur["value"] - old["value"]}
-            elif cur["type"] == "histogram":
-                counts = [c - o for c, o in
-                          zip(cur["counts"], old.get("counts", []))]
-                if len(counts) != len(cur["counts"]):
-                    counts = list(cur["counts"])
-                entry = {"type": "histogram",
-                         "count": cur["count"] - old.get("count", 0),
-                         "sum": cur["sum"] - old.get("sum", 0.0),
-                         "max": cur["max"], "bounds": cur["bounds"],
-                         "counts": counts}
+            kind = metric.kind
+            if old is None or old.get("type") != kind:
+                cur = metric.snapshot()
+                if cur.get("value") or cur.get("count") \
+                        or kind == "gauge":
+                    delta[name] = cur
+            elif kind == "counter":
+                value = metric.value - old["value"]
+                if value:
+                    delta[name] = {"type": "counter", "value": value}
+            elif kind == "histogram":
+                if metric.count == old.get("count", 0):
+                    continue
+                cur = metric.snapshot()
+                counts = cur["counts"]
+                if len(old.get("counts", ())) == len(counts):
+                    counts = list(map(operator.sub, counts,
+                                      old["counts"]))
+                delta[name] = {"type": "histogram",
+                               "count": cur["count"] - old.get("count", 0),
+                               "sum": cur["sum"] - old.get("sum", 0.0),
+                               "max": cur["max"], "bounds": cur["bounds"],
+                               "counts": counts}
             else:  # gauge
-                entry = dict(cur)
-            if entry.get("value") or entry.get("count") \
-                    or cur["type"] == "gauge":
-                delta[name] = entry
+                delta[name] = metric.snapshot()
         return delta
 
     def merge_delta(self, delta: dict) -> None:
@@ -320,9 +332,13 @@ class MetricsRegistry:
                 self.gauge(name).set(entry.get("value", 0.0))
             elif kind == "histogram":
                 hist = self.histogram(name, entry.get("bounds"))
+                counts = entry.get("counts", ())
                 with hist._lock:
-                    for i, c in enumerate(entry.get("counts", [])):
-                        if i < len(hist._counts):
+                    if len(counts) == len(hist._counts):
+                        hist._counts = list(map(operator.add,
+                                                hist._counts, counts))
+                    else:
+                        for i, c in enumerate(counts[:len(hist._counts)]):
                             hist._counts[i] += int(c)
                     hist._sum += entry.get("sum", 0.0)
                     hist._count += int(entry.get("count", 0))

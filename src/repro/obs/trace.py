@@ -7,6 +7,9 @@ One call site::
     with span("reorder", algo="RCM", matrix="stencil2d"):
         ...
 
+A :func:`stage` is a span whose seconds always reach the registry
+histogram ``<name>_seconds``, traced or not.
+
 Spans nest (per-thread), are thread-safe, and use the monotonic
 ``time.perf_counter`` clock — on Linux that is ``CLOCK_MONOTONIC``,
 which is system-wide, so spans recorded in sweep worker *processes*
@@ -16,7 +19,8 @@ Tracing is **disabled by default** and the disabled path is a no-op
 fast path: ``span(...)`` performs one attribute check and returns a
 shared singleton context manager — no allocation, no clock read, no
 lock (``benchmarks/bench_obs_overhead.py`` gates the overhead at
-< 5 % of an uninstrumented run).
+< 5 % of an uninstrumented run).  A disabled *stage* still reads the
+clock twice and updates its histogram; the same gate counts it.
 
 When enabled, every finished span becomes one Chrome *complete* event
 (``"ph": "X"``) with microsecond ``ts``/``dur``, the recording
@@ -57,10 +61,12 @@ import threading
 import time
 from contextlib import contextmanager
 
-__all__ = ["Tracer", "TRACER", "span", "enable", "disable", "is_enabled",
-           "new_span_id", "current_span_stack", "set_trace_context",
-           "get_trace_context", "clear_trace_context", "trace_context",
-           "track_stacks", "sidecar_path"]
+from .metrics import REGISTRY
+
+__all__ = ["Tracer", "TRACER", "span", "stage", "enable", "disable",
+           "is_enabled", "new_span_id", "current_span_stack",
+           "set_trace_context", "get_trace_context", "clear_trace_context",
+           "trace_context", "track_stacks", "sidecar_path"]
 
 #: schema constants for one Chrome complete event
 _REQUIRED_KEYS = ("name", "ph", "ts", "dur", "pid", "tid")
@@ -175,14 +181,17 @@ class _StackSpan:
 
 
 class _LiveSpan:
-    """One enabled span; records a complete ("X") event on exit."""
+    """One enabled span; records a complete ("X") event on exit, and
+    its duration into ``seconds`` (a stage's histogram) when set."""
 
-    __slots__ = ("_tracer", "name", "args", "_t0", "span_id")
+    __slots__ = ("_tracer", "name", "args", "_t0", "span_id", "seconds")
 
-    def __init__(self, tracer: "Tracer", name: str, args: dict) -> None:
+    def __init__(self, tracer: "Tracer", name: str, args: dict,
+                 seconds=None) -> None:
         self._tracer = tracer
         self.name = name
         self.args = args
+        self.seconds = seconds
 
     def set(self, **attrs) -> "_LiveSpan":
         """Attach attributes discovered mid-span (e.g. a result size)."""
@@ -216,7 +225,32 @@ class _LiveSpan:
             ids = (self.span_id, parent or ctx_parent, trace_id)
         self._tracer._record(self.name, self._t0, t1 - self._t0,
                              self.args, ids=ids)
+        if self.seconds is not None:
+            self.seconds.observe(t1 - self._t0)
         return False
+
+
+class _UntracedStage:
+    """A stage while tracing is off: the clock and the stage's
+    histogram around the no-op (or profiler stack-only) span."""
+
+    __slots__ = ("_span", "_seconds", "_t0")
+
+    def __init__(self, inner, seconds) -> None:
+        self._span = inner
+        self._seconds = seconds
+
+    def set(self, **attrs) -> "_UntracedStage":
+        return self
+
+    def __enter__(self) -> "_UntracedStage":
+        self._span.__enter__()
+        self._t0 = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._seconds.observe(time.perf_counter() - self._t0)
+        return self._span.__exit__(*exc)
 
 
 class Tracer:
@@ -389,6 +423,24 @@ def span(name: str, **args):
     if _STACK_TRACKING:
         return _StackSpan(name)
     return _NOP
+
+
+def stage(name: str, **args):
+    """A span whose elapsed seconds always reach the registry.
+
+    Reads the clock at entry and exit and observes the difference into
+    the ``<name>_seconds`` histogram of
+    :data:`repro.obs.metrics.REGISTRY`; while tracing is on the same
+    two readings also make the ordinary ``name`` span (with ``args``),
+    so the span durations of a stage sum to its histogram's ``sum``.
+    Unlike :func:`span` it is never free: use it where the work
+    dwarfs two clock reads and a histogram update.
+    """
+    seconds = REGISTRY.histogram(f"{name}_seconds")
+    if TRACER.enabled:
+        return _LiveSpan(TRACER, name, args, seconds)
+    return _UntracedStage(_StackSpan(name) if _STACK_TRACKING else _NOP,
+                          seconds)
 
 
 def enable(jsonl_path: str | None = None) -> None:

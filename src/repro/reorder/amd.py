@@ -44,7 +44,6 @@ instead of symmetrise → permute → CSR rebuild).
 from __future__ import annotations
 
 import heapq
-import time
 
 import numpy as np
 
@@ -68,13 +67,11 @@ def amd_ordering(a: CSRMatrix) -> OrderingResult:
     """Compute the AMD ordering (symmetric permutation)."""
     if not fast_enabled():
         return amd_ordering_reference(a)
-    t0 = time.perf_counter()
     g = ordering_graph(a)
     order = _amd_eliminate_fast(g)
     perm = complete_partial_order(order, g.nvertices)
     perm = _postorder_elimination_fast(g, perm)
-    return OrderingResult("AMD", perm, symmetric=True,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("AMD", perm, symmetric=True)
 
 
 def _amd_eliminate_fast(g) -> np.ndarray:
@@ -270,7 +267,6 @@ def _postorder_forest_fast(parent: list) -> np.ndarray:
 
 def amd_ordering_reference(a: CSRMatrix) -> OrderingResult:
     """Scalar reference AMD (pre-vectorisation implementation)."""
-    t0 = time.perf_counter()
     with reference_mode():
         g = ordering_graph(a)
         n = g.nvertices
@@ -324,8 +320,7 @@ def amd_ordering_reference(a: CSRMatrix) -> OrderingResult:
                 elem_vars[p].discard(v)
         perm = complete_partial_order(np.array(order, dtype=np.int64), n)
         perm = _postorder_elimination(a, perm)
-    return OrderingResult("AMD", perm, symmetric=True,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("AMD", perm, symmetric=True)
 
 
 def _postorder_elimination(a: CSRMatrix, perm: np.ndarray) -> np.ndarray:

@@ -9,8 +9,6 @@ study); rows keep their original relative order within a part.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..matrix.csr import CSRMatrix
@@ -41,7 +39,6 @@ def gp_ordering(a: CSRMatrix, nparts: int = DEFAULT_PARTS, seed=0,
     refine:
         FM refinement toggle, exposed for the ablation benchmarks.
     """
-    t0 = time.perf_counter()
     g = ordering_graph(a)
     # cap the part count so every part holds at least ~8 rows: the
     # paper's matrices (>= 1M nnz) never hit this, but the scaled-down
@@ -49,8 +46,7 @@ def gp_ordering(a: CSRMatrix, nparts: int = DEFAULT_PARTS, seed=0,
     nparts = max(1, min(nparts, max(g.nvertices // 8, 1)))
     part = partition_graph(g, nparts, rng=as_rng(seed), refine=refine)
     perm = perm_from_parts(part)
-    return OrderingResult("GP", perm, symmetric=True,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("GP", perm, symmetric=True)
 
 
 def gp_ordering_reference(a: CSRMatrix, nparts: int = DEFAULT_PARTS, seed=0,

@@ -18,8 +18,6 @@ the asymptotic envelope quality).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graph.bfs import bfs_levels
@@ -60,7 +58,6 @@ def _combined_levels(g, u: int, v: int) -> np.ndarray:
 
 def gps_ordering(a: CSRMatrix) -> OrderingResult:
     """Compute the GPS ordering (symmetric permutation)."""
-    t0 = time.perf_counter()
     g = ordering_graph(a)
     n = g.nvertices
     deg = g.degrees()
@@ -83,5 +80,4 @@ def gps_ordering(a: CSRMatrix) -> OrderingResult:
     order = (np.concatenate(pieces) if pieces
              else np.empty(0, dtype=np.int64))
     order = complete_partial_order(order, n)
-    return OrderingResult("GPS", order[::-1].copy(), symmetric=True,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("GPS", order[::-1].copy(), symmetric=True)

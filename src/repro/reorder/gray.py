@@ -15,8 +15,6 @@ each other so consecutive rows touch overlapping parts of x.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..matrix.csr import CSRMatrix
@@ -64,7 +62,6 @@ def gray_rank(codes: np.ndarray, bits: int = BITMAP_BITS) -> np.ndarray:
 def gray_ordering(a: CSRMatrix, dense_threshold: int = DENSE_ROW_THRESHOLD,
                   bits: int = BITMAP_BITS) -> OrderingResult:
     """Compute the Gray row ordering (row-only permutation)."""
-    t0 = time.perf_counter()
     lengths = a.row_lengths()
     dense_rows = np.flatnonzero(lengths > dense_threshold)
     sparse_rows = np.flatnonzero(lengths <= dense_threshold)
@@ -76,8 +73,7 @@ def gray_ordering(a: CSRMatrix, dense_threshold: int = DENSE_ROW_THRESHOLD,
     ranks = gray_rank(bitmaps[sparse_rows], bits=bits)
     sparse_order = sparse_rows[np.lexsort((sparse_rows, ranks))]
     perm = np.concatenate([dense_order, sparse_order])
-    return OrderingResult("Gray", perm, symmetric=False,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("Gray", perm, symmetric=False)
 
 
 def gray_ordering_reference(a: CSRMatrix,
@@ -91,7 +87,6 @@ def gray_ordering_reference(a: CSRMatrix,
     scalar inverse-Gray rank, and ``sorted`` with explicit key tuples
     in place of ``lexsort``.
     """
-    t0 = time.perf_counter()
     nrows, ncols = a.nrows, a.ncols
     rowptr = a.rowptr.tolist()
     colidx = a.colidx.tolist()
@@ -120,5 +115,4 @@ def gray_ordering_reference(a: CSRMatrix,
     sparse = sorted((i for i in range(nrows) if lengths[i] <= dense_threshold),
                     key=lambda i: (rank_of(bitmaps[i]), i))
     perm = np.array(dense + sparse, dtype=np.int64)
-    return OrderingResult("Gray", perm, symmetric=False,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("Gray", perm, symmetric=False)

@@ -9,8 +9,6 @@ which the paper lists among the symmetric orderings.
 
 from __future__ import annotations
 
-import time
-
 from ..graph.hypergraph import column_net_hypergraph
 from ..errors import ReorderingError
 from ..hpartition.recursive import partition_hypergraph
@@ -35,14 +33,12 @@ def hp_ordering(a: CSRMatrix, nparts: int = DEFAULT_PARTS, seed=0,
     """
     require(a.is_square, ReorderingError,
             f"HP ordering needs a square matrix, got {a.shape}")
-    t0 = time.perf_counter()
     h = column_net_hypergraph(a)
     # same minimum-part-size cap as GP (see repro.reorder.gp)
     nparts = max(1, min(nparts, max(h.nvertices // 8, 1)))
     part = partition_hypergraph(h, nparts, rng=as_rng(seed), refine=refine)
     perm = perm_from_parts(part)
-    return OrderingResult("HP", perm, symmetric=True,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("HP", perm, symmetric=True)
 
 
 def hp_ordering_reference(a: CSRMatrix, nparts: int = DEFAULT_PARTS, seed=0,

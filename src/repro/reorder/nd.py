@@ -9,8 +9,6 @@ METIS's ND routine uses (it switches to MMD on small pieces).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graph.adjacency import Graph
@@ -63,7 +61,6 @@ def _dissect(g: Graph, global_ids: np.ndarray, leaf_size: int, rng,
 def nd_ordering(a: CSRMatrix, leaf_size: int = DEFAULT_LEAF_SIZE,
                 seed=0) -> OrderingResult:
     """Compute the nested dissection ordering (symmetric permutation)."""
-    t0 = time.perf_counter()
     g = ordering_graph(a)
     rng = as_rng(seed)
     pieces: list = []
@@ -72,8 +69,7 @@ def nd_ordering(a: CSRMatrix, leaf_size: int = DEFAULT_LEAF_SIZE,
     order = (np.concatenate(pieces) if pieces
              else np.empty(0, dtype=np.int64))
     perm = complete_partial_order(order, g.nvertices)
-    return OrderingResult("ND", perm, symmetric=True,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("ND", perm, symmetric=True)
 
 
 def nd_ordering_reference(a: CSRMatrix, leaf_size: int = DEFAULT_LEAF_SIZE,

@@ -28,7 +28,9 @@ class OrderingResult:
         bijection at construction and frozen (a read-only private
         copy), so :meth:`apply` need not check it again.
     seconds:
-        Wall-clock time spent computing the ordering (Table 5).
+        Wall-clock time spent computing the ordering (Table 5),
+        stamped by :func:`repro.reorder.registry.compute_ordering`;
+        0.0 from a direct call of an algorithm function.
     """
 
     algorithm: str

@@ -18,8 +18,6 @@ the start vertex, so the ``(level, degree, id)`` lexsort keys agree.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graph.bfs import bfs_levels
@@ -71,19 +69,16 @@ def rcm_ordering(a: CSRMatrix, reverse: bool = True) -> OrderingResult:
     """
     if not fast_enabled():
         return rcm_ordering_reference(a, reverse=reverse)
-    t0 = time.perf_counter()
     order = _rcm_order_fast(a)
     if reverse:
         order = order[::-1].copy()  # the "reverse" in RCM
     return OrderingResult("RCM" if reverse else "CM", order,
-                          symmetric=True,
-                          seconds=time.perf_counter() - t0)
+                          symmetric=True)
 
 
 def rcm_ordering_reference(a: CSRMatrix,
                            reverse: bool = True) -> OrderingResult:
     """Scalar reference RCM (pre-vectorisation implementation)."""
-    t0 = time.perf_counter()
     with reference_mode():
         g = ordering_graph(a)
         n = g.nvertices
@@ -102,8 +97,7 @@ def rcm_ordering_reference(a: CSRMatrix,
         if reverse:
             order = order[::-1].copy()  # the "reverse" in RCM
     return OrderingResult("RCM" if reverse else "CM", order,
-                          symmetric=True,
-                          seconds=time.perf_counter() - t0)
+                          symmetric=True)
 
 
 def cm_ordering(a: CSRMatrix) -> OrderingResult:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from ..errors import ReorderingError
 from ..matrix.csr import CSRMatrix
 from ..obs.metrics import REGISTRY
@@ -61,18 +63,28 @@ def compute_ordering(a: CSRMatrix, name: str, nparts: int = 64,
     ignored by the others; HP uses its own 128-way default per the
     paper unless GP-style part matching is requested explicitly through
     :func:`repro.reorder.hp.hp_ordering`.
+
+    The result's ``seconds`` is the algorithm's wall-clock time (Table
+    5), read here and nowhere else.
     """
     if name == "original":
         return identity_ordering(a.nrows)
     check_ordering_names((name,))
     REGISTRY.counter(f"reorder.computed.{name}").inc()
     with span("ordering.compute", algo=name, nrows=a.nrows, nnz=a.nnz):
+        t0 = time.perf_counter()
         if name == "GP":
-            return gp_ordering(a, nparts=nparts, seed=seed)
-        if name == "HP":
-            return hp_ordering(a, seed=seed)
-        if name == "ND":
-            return nd_ordering(a, seed=seed)
-        if name == "TSP":
-            return tsp_ordering(a, seed=seed)
-        return ORDERING_FUNCS[name](a)
+            result = gp_ordering(a, nparts=nparts, seed=seed)
+        elif name == "HP":
+            result = hp_ordering(a, seed=seed)
+        elif name == "ND":
+            result = nd_ordering(a, seed=seed)
+        elif name == "TSP":
+            result = tsp_ordering(a, seed=seed)
+        else:
+            result = ORDERING_FUNCS[name](a)
+        seconds = time.perf_counter() - t0
+    # the result is fresh and unshared, and its permutation was checked
+    # when it was built: stamp the time in place rather than rebuild it
+    object.__setattr__(result, "seconds", seconds)
+    return result

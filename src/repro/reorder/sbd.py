@@ -16,7 +16,6 @@ unsymmetric (row and column permutations differ).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,6 @@ class SBDResult:
 
     row_perm: np.ndarray
     col_perm: np.ndarray
-    seconds: float
 
     def apply(self, a: CSRMatrix) -> CSRMatrix:
         from ..matrix.permute import permute_csr
@@ -104,7 +102,6 @@ def sbd_ordering(a: CSRMatrix, min_rows: int = 32, seed=0) -> SBDResult:
     """Compute the separated-block-diagonal reordering of ``a``."""
     require(a.nrows > 0 and a.ncols > 0, ReorderingError,
             "SBD needs a non-empty matrix")
-    t0 = time.perf_counter()
     rng = as_rng(seed)
     row_out: list = []
     col_blocks: list = []
@@ -120,5 +117,4 @@ def sbd_ordering(a: CSRMatrix, min_rows: int = 32, seed=0) -> SBDResult:
 
     row_perm = complete_partial_order(row_perm, a.nrows)
     col_perm = complete_partial_order(col_perm, a.ncols)
-    return SBDResult(row_perm=row_perm, col_perm=col_perm,
-                     seconds=time.perf_counter() - t0)
+    return SBDResult(row_perm=row_perm, col_perm=col_perm)

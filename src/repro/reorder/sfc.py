@@ -13,8 +13,6 @@ for unstructured graphs it degrades gracefully to a BFS-like order.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..graph.bfs import bfs_levels
@@ -51,7 +49,6 @@ def graph_coordinates(g, component: np.ndarray) -> tuple:
 
 def sfc_ordering(a: CSRMatrix) -> OrderingResult:
     """Morton-order rows along a landmark-BFS embedding (symmetric)."""
-    t0 = time.perf_counter()
     g = ordering_graph(a)
     n = g.nvertices
     visited = np.zeros(n, dtype=bool)
@@ -71,5 +68,4 @@ def sfc_ordering(a: CSRMatrix) -> OrderingResult:
     order = (np.concatenate(pieces) if pieces
              else np.empty(0, dtype=np.int64))
     order = complete_partial_order(order, n)
-    return OrderingResult("SFC", order, symmetric=True,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("SFC", order, symmetric=True)

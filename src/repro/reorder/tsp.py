@@ -14,8 +14,6 @@ cost stays near-linear for sparse matrices.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..matrix.csr import CSRMatrix
@@ -61,12 +59,10 @@ def tsp_ordering(a: CSRMatrix, two_opt_passes: int = 1,
     consecutive rows, i.e. minimises the TSP tour under the
     symmetric-difference distance.
     """
-    t0 = time.perf_counter()
     n = a.nrows
     rng = as_rng(seed)
     if n == 0:
-        return OrderingResult("TSP", np.empty(0, dtype=np.int64), False,
-                              time.perf_counter() - t0)
+        return OrderingResult("TSP", np.empty(0, dtype=np.int64), False)
     neighbours = _row_similarity_candidates(a)
     visited = np.zeros(n, dtype=bool)
     tour = np.empty(n, dtype=np.int64)
@@ -112,5 +108,4 @@ def tsp_ordering(a: CSRMatrix, two_opt_passes: int = 1,
                     improved = True
         if not improved:
             break
-    return OrderingResult("TSP", tour, symmetric=False,
-                          seconds=time.perf_counter() - t0)
+    return OrderingResult("TSP", tour, symmetric=False)

@@ -23,28 +23,35 @@ from ..spmv.registry import KERNELS
 log = get_logger("cli")
 
 
-def _load_or_train_model(args):
-    """The ``advise`` CLI's model recipe, shared by ``serve``."""
+def load_or_train_model(args, kernels: tuple, say):
+    """The advisor-model recipe of ``repro advise`` and ``repro serve``.
+
+    Loads ``args.model`` when that file exists; otherwise trains on
+    ``args.train_tier`` (capped at ``args.train_limit`` matrices) for
+    ``args.arch`` over ``kernels``, and saves to ``args.model`` when
+    one is named.  Each status line goes to ``say``: ``advise`` prints
+    them, ``serve`` logs them.
+    """
     from ..advisor import AdvisorModel, train_model
     from ..harness.runner import OrderingCache
     from ..machine import get_architecture
 
     if args.model and os.path.exists(args.model):
         model = AdvisorModel.load(args.model)
-        log.info("loaded model from %s (%s training rows)", args.model,
-                 model.trained_on.get("rows", "?"))
+        say(f"loaded model from {args.model} "
+            f"({model.trained_on.get('rows', '?')} training rows)")
         return model
     arch = get_architecture(args.arch)
     orderings = args.orderings.split(",") if args.orderings else None
     cache = OrderingCache(path=args.cache) if args.cache else None
     model = train_model(tier=args.train_tier, architectures=[arch],
-                        orderings=orderings, cache=cache,
+                        orderings=orderings, kernels=kernels, cache=cache,
                         seed=args.seed, limit=args.train_limit)
-    log.info("trained on %d rows (%s tier, %s)",
-             model.trained_on["rows"], args.train_tier, arch.name)
+    say(f"trained on {model.trained_on['rows']} rows "
+        f"({args.train_tier} tier, {arch.name})")
     if args.model:
         model.save(args.model)
-        log.info("saved model to %s", args.model)
+        say(f"saved model to {args.model}")
     return model
 
 
@@ -57,7 +64,7 @@ def _cmd_serve(args) -> int:
     corpus = build_corpus(args.tier, seed=args.seed)
     if args.limit:
         corpus = corpus[:args.limit]
-    model = _load_or_train_model(args)
+    model = load_or_train_model(args, KERNELS, log.info)
     advisor = Advisor(model, iterations=args.iterations)
     config = ServeConfig(
         host=args.host, port=args.port, default_arch=args.arch,

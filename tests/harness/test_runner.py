@@ -116,6 +116,28 @@ def test_ordering_cache_stats_disk(tiny_corpus, tmp_path):
     assert s["disk_hits"] == 1 and s["hits"] == 1 and s["misses"] == 0
 
 
+def test_ordering_cache_resident_bytes_match_a_recount(tiny_corpus,
+                                                       tmp_path):
+    """``stats`` keeps its byte count as entries arrive; after stores,
+    memory hits and disk hits it equals a walk over the cache."""
+    def recount(cache):
+        return sum(r.perm.nbytes for r in cache._memory.values())
+
+    writer = OrderingCache(path=str(tmp_path))
+    for e in tiny_corpus[:2]:
+        for ordering in ("RCM", "Gray"):
+            writer.get(e.matrix, e.name, ordering)       # stores
+            writer.get(e.matrix, e.name, ordering)       # memory hits
+    assert writer.stats["size_bytes"] == recount(writer) > 0
+    reader = OrderingCache(path=str(tmp_path))
+    for e in tiny_corpus:
+        reader.get(e.matrix, e.name, "RCM")     # disk hits, then misses
+    stats = reader.stats
+    assert (stats["disk_hits"], stats["misses"]) == (2, len(tiny_corpus) - 2)
+    assert stats["size_bytes"] == recount(reader)
+    assert stats["mapped_bytes"] == 0
+
+
 def test_ordering_cache_key_folds_in_shape_and_nnz(tmp_path):
     """Regression: two corpora sharing a matrix *name* but different
     dimensions/nnz must never alias to the same cached permutation."""

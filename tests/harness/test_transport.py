@@ -7,19 +7,19 @@ the worker memmaps its arrays through the per-process attach memo.
 Covered here: pool records equal serial records for both kinds of
 corpus, an interrupted pool sweep resumes to the full run's records,
 the worker-side attach is timed under ``storage`` and memoised, the
-byte-bounded shard scheduler, and the ``mapped_bytes`` accounting of
-memmap-backed ordering-cache entries.
+byte-bounded shard scheduler, and the ordering cache's resident-byte
+accounting.
 """
 
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro.errors import HarnessError
 from repro.generators import build_corpus
-from repro.harness.engine import SweepEngine, _resolve_task_matrix, _TaskSpec
+from repro.harness.engine import (SweepEngine, _EngineConfig,
+                                  _run_matrix_task, _TaskSpec)
 from repro.machine import get_architecture
 from repro.storage import ensure_corpus_snapshot
 from repro.storage import format as fmt
@@ -152,25 +152,30 @@ def test_sharded_pool_sweep_matches_serial(tiny_corpus, rome):
 # worker-side attach
 # ----------------------------------------------------------------------
 def test_worker_attach_resolves_memmap(tiny_snapshot):
-    """The worker-side resolver attaches a stored matrix read-only and
-    times it under ``storage``."""
+    """A matrix task attaches its stored matrix read-only and times it
+    under the ``storage`` stage (a task with no pending cells does
+    nothing else)."""
     fmt.detach_all()
     entry = tiny_snapshot.entries[0]
     task = _TaskSpec(entry=entry, pending=frozenset())
-    timings = {"storage": 0.0}
-    a = _resolve_task_matrix(task, timings)
+    config = _EngineConfig(architectures=[], orderings=[], kernels=(),
+                           seed=0, timeout=None, retries=0,
+                           cache_path=None, model_factory=None)
+    outcome = _run_matrix_task(task, config)
+    a = entry.matrix
     assert a.nnz == entry.nnz
     assert not a.values.flags.writeable
-    assert timings["storage"] > 0.0
+    assert fmt.attach_cache_stats()["misses"] == 1
+    storage = outcome.registry_delta["storage_seconds"]
+    assert storage["count"] == 1 and storage["sum"] > 0.0
     fmt.detach_all()
 
 
 def _resolve_twice(task):
     """Pool-side probe: resolve one task's matrix twice in this worker
     and report the attach memo."""
-    timings = {"storage": 0.0}
-    first = _resolve_task_matrix(task, timings)
-    second = _resolve_task_matrix(task, timings)
+    first = task.entry.matrix
+    second = task.entry.matrix
     return first is second, fmt.attach_cache_stats()
 
 
@@ -189,27 +194,16 @@ def test_worker_attach_is_memoised_per_process(tiny_snapshot):
 
 
 # ----------------------------------------------------------------------
-# ordering-cache stats must not bill mapped permutations
+# ordering-cache stats bill cached permutations as resident heap
 # ----------------------------------------------------------------------
-def test_ordering_cache_reports_mapped_separately(tmp_path):
-    from types import SimpleNamespace
-
+def test_ordering_cache_bills_heap_permutations(tiny_corpus):
     from repro.harness.runner import OrderingCache
     from repro.obs.cachestats import CACHE_STATS_KEYS
 
     cache = OrderingCache()
-    heap_perm = np.arange(64)
-    cache._memory["m1/RCM"] = SimpleNamespace(perm=heap_perm)
+    a = tiny_corpus[0].matrix
+    result = cache.get(a, tiny_corpus[0].name, "RCM")
     stats = cache.stats
     assert all(k in stats for k in CACHE_STATS_KEYS)
-    assert stats["size_bytes"] == heap_perm.nbytes
+    assert stats["size_bytes"] == result.perm.nbytes
     assert stats["mapped_bytes"] == 0
-
-    # a memmap-backed permutation must move to mapped_bytes
-    mpath = tmp_path / "perm.npy"
-    np.save(mpath, np.arange(128))
-    mapped_perm = np.load(mpath, mmap_mode="r")
-    cache._memory["m2/RCM"] = SimpleNamespace(perm=mapped_perm)
-    stats = cache.stats
-    assert stats["size_bytes"] == heap_perm.nbytes
-    assert stats["mapped_bytes"] == mapped_perm.nbytes

@@ -15,6 +15,7 @@ import pytest
 
 from repro.generators import build_corpus
 from repro.harness import SweepEngine
+from repro.harness.engine import SWEEP_STAGES
 from repro.machine import get_architecture
 from repro.machine.model import PerfModel
 from repro.obs import trace as obs_trace
@@ -183,3 +184,51 @@ def test_sweep_metrics_is_a_view_over_the_registry(tmp_path):
 
     saved = json.loads(path.read_text())
     assert saved["registry"] == reg
+
+
+# ----------------------------------------------------------------------
+# stages: one clock for the span and the stage seconds
+# ----------------------------------------------------------------------
+def test_traced_stage_seconds_are_the_sum_of_their_spans():
+    engine = SweepEngine(build_corpus("tiny", seed=0)[:3],
+                         [get_architecture("Rome")], ["RCM", "Gray"],
+                         jobs=2)
+    obs_trace.enable()  # the clean_global_tracer fixture restores it
+    assert engine.run().failed == []
+    events = obs_trace.TRACER.events()
+    counts = engine.registry.values()
+    for name in SWEEP_STAGES:
+        durations = [ev["dur"] for ev in events if ev["name"] == name]
+        assert durations, name
+        assert counts[f"{name}_seconds"] == len(durations)
+        # spans carry microseconds rounded to 1e-3
+        assert engine.metrics.stages[name] * 1e6 == pytest.approx(
+            sum(durations), abs=1e-3 * len(durations)), name
+
+
+def test_stage_counts_do_not_depend_on_jobs():
+    counts = []
+    for jobs in (1, 2):
+        engine = SweepEngine(build_corpus("tiny", seed=0)[:3],
+                             [get_architecture("Rome")], ["RCM", "Gray"],
+                             jobs=jobs)
+        engine.run()
+        values = engine.registry.values()
+        counts.append({name: values.get(f"{name}_seconds", 0)
+                       for name in SWEEP_STAGES})
+        assert all(engine.metrics.stages[name] > 0.0
+                   for name in SWEEP_STAGES)
+    assert counts[0] == counts[1]
+    assert all(counts[0].values())
+
+
+def test_stages_that_never_ran_read_zero(tmp_path):
+    journal = str(tmp_path / "sweep.jsonl")
+    args = (build_corpus("tiny", seed=0)[:2], [get_architecture("Rome")],
+            ["RCM"])
+    SweepEngine(*args, journal_path=journal).run()
+    resumed = SweepEngine(*args, journal_path=journal, resume=True)
+    resumed.run()
+    assert resumed.metrics.cells["resumed"] == resumed.metrics.cells["total"]
+    assert resumed.metrics.stages == dict.fromkeys(
+        ("generate",) + SWEEP_STAGES, 0.0)

@@ -114,7 +114,9 @@ def test_profile_cli_wraps_a_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.collapsed"
     rc = main(["profile", "--out", str(out), "--interval", "0.002",
                "sweep", "--tier", "tiny", "--limit", "2",
-               "--archs", "Rome", "--orderings", "RCM"])
+               "--archs", "Rome", "--orderings", "RCM",
+               "--metrics", str(tmp_path / "sweep_metrics.json"),
+               "--manifest", str(tmp_path / "run_manifest.json")])
     assert rc == 0
     assert out.exists()
     assert "self-time by span" in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Span tracer: golden Chrome trace-event schema, nesting, no-op path."""
+"""Span tracer: golden Chrome trace-event schema, nesting, no-op path,
+and stages (spans whose seconds always reach the registry)."""
 
 import json
 import threading
@@ -7,7 +8,8 @@ import pytest
 
 from repro.obs import trace as obs_trace
 from repro.obs.report import load_trace, validate_trace
-from repro.obs.trace import _NOP, Tracer, span
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import _NOP, Tracer, current_span_stack, span, stage
 
 
 @pytest.fixture
@@ -22,6 +24,11 @@ def clean_global_tracer():
     yield
     obs_trace.disable()
     obs_trace.TRACER.clear()
+
+
+def _stage_seconds(name: str) -> tuple:
+    hist = REGISTRY.histogram(f"{name}_seconds")
+    return hist.count, hist.sum
 
 
 # ----------------------------------------------------------------------
@@ -175,3 +182,50 @@ def test_validator_flags_unbalanced_duration_events():
     ok = [{"name": "x", "ph": "B", "ts": 1.0, "pid": 1, "tid": 1},
           {"name": "x", "ph": "E", "ts": 2.0, "pid": 1, "tid": 1}]
     assert validate_trace(ok) == []
+
+
+# ----------------------------------------------------------------------
+# stages
+# ----------------------------------------------------------------------
+def test_untraced_stage_times_into_the_registry_without_a_span():
+    assert not obs_trace.is_enabled()
+    count0, sum0 = _stage_seconds("test.untraced")
+    with stage("test.untraced", algo="RCM") as s:
+        assert s.set(more=1) is s
+        sum(range(1000))
+    count1, sum1 = _stage_seconds("test.untraced")
+    assert count1 == count0 + 1 and sum1 > sum0
+    assert obs_trace.TRACER.events() == []
+
+
+def test_traced_stage_span_duration_is_its_registry_seconds():
+    obs_trace.enable()  # the clean_global_tracer fixture restores it
+    count0, sum0 = _stage_seconds("test.traced")
+    for _ in range(3):
+        with stage("test.traced", algo="RCM"):
+            sum(range(1000))
+    count1, sum1 = _stage_seconds("test.traced")
+    events = [e for e in obs_trace.TRACER.events()
+              if e["name"] == "test.traced"]
+    assert count1 - count0 == len(events) == 3
+    assert all(e["args"] == {"algo": "RCM"} for e in events)
+    assert sum(e["dur"] for e in events) == pytest.approx(
+        (sum1 - sum0) * 1e6, abs=1e-3 * len(events))
+
+
+def test_stage_records_its_time_when_the_body_raises():
+    count0, _ = _stage_seconds("test.raises")
+    with pytest.raises(ValueError):
+        with stage("test.raises"):
+            raise ValueError("boom")
+    assert _stage_seconds("test.raises")[0] == count0 + 1
+
+
+def test_untraced_stage_keeps_the_profiler_span_stack():
+    obs_trace.track_stacks(True)
+    try:
+        with stage("test.stacked"):
+            assert current_span_stack()[-1] == ("test.stacked", None)
+        assert current_span_stack() == []
+    finally:
+        obs_trace.track_stacks(False)

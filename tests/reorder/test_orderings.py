@@ -70,6 +70,16 @@ def test_ordering_records_time(scrambled_mesh):
     assert compute_ordering(scrambled_mesh, "RCM").seconds >= 0
 
 
+@pytest.mark.parametrize("name", [o for o in ALL_ORDERINGS
+                                  if o != "original"])
+def test_compute_ordering_is_the_reordering_clock(name, scrambled_mesh):
+    """``compute_ordering`` stamps the algorithm's time; a direct call
+    of the algorithm carries none, and the baseline costs nothing."""
+    assert compute_ordering(scrambled_mesh, name, nparts=8).seconds > 0
+    assert rcm_ordering(scrambled_mesh).seconds == 0.0
+    assert compute_ordering(scrambled_mesh, "original").seconds == 0.0
+
+
 # --- RCM -------------------------------------------------------------
 def test_rcm_reduces_bandwidth_dramatically(scrambled_mesh):
     r = rcm_ordering(scrambled_mesh)

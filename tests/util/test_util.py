@@ -3,7 +3,6 @@ import pytest
 
 from repro.errors import MatrixFormatError, ReproError
 from repro.util import (
-    Timer,
     as_rng,
     check_index_array,
     check_positive,
@@ -35,12 +34,6 @@ def test_spawn_rng_independent():
 def test_spawn_rng_negative_rejected():
     with pytest.raises(ValueError):
         spawn_rng(as_rng(0), -1)
-
-
-def test_timer_measures():
-    with Timer() as t:
-        sum(range(10000))
-    assert t.elapsed > 0
 
 
 def test_require_raises_repro_errors_only():
